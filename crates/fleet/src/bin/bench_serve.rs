@@ -1,9 +1,9 @@
 //! `galvatron-bench-serve` — load generator for the plan-serving layer.
 //!
-//! **Single-daemon mode** (default) starts an in-process
-//! [`PlanServer`](galvatron_serve::PlanServer) and drives five phases over
-//! real loopback TCP — cold, warm, the 64-GPU/100-layer cold scaling
-//! point, thundering herd, shed — writing `BENCH_serve.json` and failing
+//! **Single-daemon mode** (default) starts an in-process daemon — a
+//! [`FleetReplica`] with no peers, as `galvatron-served` runs — and drives
+//! five phases over real loopback TCP — cold, warm, the 64-GPU/100-layer
+//! cold scaling point, thundering herd, shed — writing `BENCH_serve.json` and failing
 //! unless warm-cache throughput beats cold by 5×, the scale point plans
 //! exactly one cold DP and answers its warm repeat from cache, the herd
 //! coalesces to one computation, and overload sheds.
@@ -49,9 +49,7 @@ use galvatron_obs::{
     SpanRecord, TraceIdGen,
 };
 use galvatron_planner::PlannerConfig;
-use galvatron_serve::{
-    ErrorCode, PlanClient, PlanServer, ServeConfig, WireResult, WireTraceContext,
-};
+use galvatron_serve::{ErrorCode, PlanClient, WireResult, WireTraceContext};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -839,10 +837,10 @@ fn trace_phase(
     sinks: &[(String, Arc<RingBufferSink>)],
 ) -> TracePhaseReport {
     // A model absent from the workload, so the DP actually runs — and deep
-    // enough that `dp_compute` dominates: the event loops on either side
-    // of the wire sleep up to ~1ms each between sweeps, a bounded slack no
-    // server-side phase can see, so the solve must dwarf it for the 5%
-    // gate to be meaningful rather than noise.
+    // enough that `dp_compute` dominates: socket transfer and thread
+    // wake-ups on either side of the wire are a slack no server-side
+    // phase can see, so the solve must dwarf it for the 5% gate to be
+    // meaningful rather than noise.
     let model = BertConfig {
         layers: 128,
         hidden: 512,
@@ -996,13 +994,14 @@ fn run_single_bench(flags: &Flags) {
     let max_batch = flags.max_batch;
     let herd_clients = flags.herd_clients;
     let queue_capacity = 4usize;
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 2,
         queue_capacity,
         planner: planner(max_batch),
-        ..ServeConfig::default()
+        gossip_fanout: 0,
+        ..ReplicaConfig::default()
     };
-    let handle = PlanServer::start(config, Obs::noop()).expect("bind loopback");
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
     let addr = handle.addr();
     let requests = workload();
     eprintln!(

@@ -1,4 +1,5 @@
-//! `galvatron-served` — run the plan-serving daemon.
+//! `galvatron-served` — run the plan-serving daemon: one fleet replica
+//! with no peers and no gossip.
 //!
 //! ```text
 //! galvatron-served [--addr HOST:PORT] [--workers N] [--queue-capacity Q]
@@ -13,9 +14,9 @@
 //! galvatron-served ...` is a complete smoke test.
 
 use galvatron_core::OptimizerConfig;
+use galvatron_fleet::{FleetReplica, ReplicaConfig};
 use galvatron_obs::{MetricsRegistry, NullSink, Obs};
 use galvatron_planner::PlannerConfig;
-use galvatron_serve::{PlanServer, ServeConfig};
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,7 +30,7 @@ fn main() {
         }
     };
     let obs = Obs::new(Arc::new(MetricsRegistry::new()), Arc::new(NullSink));
-    let handle = match PlanServer::start(config.clone(), obs) {
+    let handle = match FleetReplica::start(config.clone(), obs) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("galvatron-served: failed to bind {}: {e}", config.addr);
@@ -68,8 +69,13 @@ fn main() {
     handle.shutdown();
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeConfig, String> {
-    let mut config = ServeConfig::default();
+fn parse_args(args: impl Iterator<Item = String>) -> Result<ReplicaConfig, String> {
+    let mut config = ReplicaConfig {
+        workers: 2,
+        gossip_fanout: 0,
+        instance: Some("serve-0".to_string()),
+        ..ReplicaConfig::default()
+    };
     let mut optimizer = OptimizerConfig::default();
     let mut planner = PlannerConfig::default();
     let mut args = args.peekable();
@@ -89,7 +95,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ServeConfig, String>
                 config.cache_max_bytes = mib << 20;
             }
             "--persist" => config.persist_path = Some(PathBuf::from(value("--persist")?)),
-            "--instance" => config.instance = value("--instance")?,
+            "--instance" => config.instance = Some(value("--instance")?),
             "--max-batch" => optimizer.max_batch = parse(&value("--max-batch")?, "--max-batch")?,
             "--jobs" => planner.jobs = parse(&value("--jobs")?, "--jobs")?,
             "--no-cache" => planner.use_cache = false,

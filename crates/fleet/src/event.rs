@@ -1,32 +1,36 @@
 //! Event-driven connection layer on pure `std`.
 //!
-//! The single-daemon server (`galvatron-serve`) spends one thread per
-//! connection; a fleet replica fronting thousands of mostly-idle clients
-//! cannot. This module multiplexes every connection onto **one** sweep
-//! thread using non-blocking sockets: each pass accepts whatever is
-//! pending, reads every readable socket until `WouldBlock`, parses
-//! complete JSON lines, and flushes whatever responses are ready — then
-//! sleeps ~1ms only when an entire pass made no progress. There is no
-//! `epoll`/`kqueue` (nothing beyond `std` is available), so readiness is
-//! discovered by polling; with the short idle sleep this costs a few
-//! thousand syscalls per second while idle and adds at most ~1ms latency,
-//! which is noise next to a DP solve.
+//! A replica fronting thousands of mostly-idle clients cannot spend a
+//! thread per connection. This module multiplexes every connection onto
+//! **one** loop thread using non-blocking sockets and `poll(2)`: the loop
+//! blocks until the listener has a pending connection, a socket is
+//! readable (or writable while output is queued), or a worker has
+//! answered a request; then it accepts, reads and parses only what `poll`
+//! reported ready, flushes whatever is answered, and blocks again. An idle
+//! loop makes no syscalls. `poll` is bound with one hand-declared
+//! `extern "C"` (std already links the C library), so nothing beyond `std`
+//! is needed.
 //!
 //! Request handling is decoupled from the loop through [`ResponseSlot`]: the
 //! loop hands each parsed line to a [`LineHandler`] together with a slot,
 //! the handler fills the slot now (inline answers) or later from a worker
 //! thread (planning), and the loop writes slots back **in arrival order**
 //! per connection — the JSONL protocol promises in-order responses, so a
-//! filled slot waits behind its connection's earlier unfilled ones.
+//! filled slot waits behind its connection's earlier unfilled ones. A fill
+//! that lands while the loop is blocked writes one byte to the loop's wake
+//! socket (one end of a `UnixStream` pair), so the answer goes out at once.
 //!
 //! A connection whose first line starts with `GET ` is treated as a
 //! one-shot HTTP scrape (`/metrics`, `/healthz`), answered from
-//! [`LineHandler::on_http_get`] and closed after the flush — the same
-//! dual-protocol trick the single daemon plays, minus the thread.
+//! [`LineHandler::on_http_get`] and closed after the flush, so one port
+//! serves both the JSONL protocol and Prometheus.
 
 use std::collections::VecDeque;
+use std::ffi::c_ulong;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -36,50 +40,119 @@ use std::time::{Duration, Instant};
 /// is ~100 KiB; 32 MiB is a defensive ceiling, not a tuning knob).
 const MAX_LINE_BYTES: usize = 32 << 20;
 
-/// Sleep between sweeps that made no progress.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
-
 /// How long `stop` waits for in-flight responses to flush before closing
 /// connections anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    /// Interest in `events` on `fd`. No interest becomes a negative
+    /// descriptor, which `poll` skips — so a hung-up socket the loop is
+    /// not reading cannot spin it.
+    fn new(fd: i32, events: i16) -> Self {
+        PollFd {
+            fd: if events == 0 { -1 } else { fd },
+            events,
+            revents: 0,
+        }
+    }
+
+    fn ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
+extern "C" {
+    // std links the C library on every supported Unix target.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: i32) -> i32;
+}
+
+/// Block until one of `fds` is ready or `timeout_ms` elapses (`-1` waits
+/// indefinitely). A failed or interrupted wait reports nothing ready; the
+/// caller just goes round again.
+fn wait_ready(fds: &mut [PollFd], timeout_ms: i32) {
+    // SAFETY: `fds` is a live, writable array of `fds.len()` `struct
+    // pollfd`s for the duration of the call.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+    if rc < 0 {
+        fds.iter_mut().for_each(|fd| fd.revents = 0);
+    }
+}
+
+/// The loop's doorbell. `armed` is raised just before the loop blocks, so
+/// only the first fill after it went idle pays for a write; fills made
+/// while the loop is awake are picked up by the pass already running.
+struct Waker {
+    tx: UnixStream,
+    armed: AtomicBool,
+}
+
+impl Waker {
+    fn wake(&self) {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.ring();
+        }
+    }
+
+    /// Write the wake byte unconditionally. The socket is non-blocking: if
+    /// its buffer is full, a wake-up is already due.
+    fn ring(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+}
+
 /// A one-response mailbox connecting a worker thread back to the event
-/// loop. The handler clones it freely; the first `fill` wins.
+/// loop. The handler clones it freely; the first `fill` wins and wakes
+/// the loop.
 #[derive(Clone)]
 pub struct ResponseSlot {
     cell: Arc<Mutex<Option<String>>>,
+    waker: Arc<Waker>,
 }
 
 impl ResponseSlot {
-    /// An empty slot.
-    pub fn new() -> Self {
+    fn new(waker: &Arc<Waker>) -> Self {
         ResponseSlot {
             cell: Arc::new(Mutex::new(None)),
+            waker: Arc::clone(waker),
         }
     }
 
     /// Deposit the response line (no trailing newline). Later fills of an
     /// already-filled slot are ignored — the first answer stands.
     pub fn fill(&self, line: String) {
-        let mut cell = self.cell.lock().unwrap();
-        if cell.is_none() {
-            *cell = Some(line);
+        let mut cell = self.cell.lock().expect("no thread panics holding a slot");
+        if cell.is_some() {
+            return;
         }
+        *cell = Some(line);
+        drop(cell);
+        self.waker.wake();
     }
 
     /// Whether a response has been deposited.
     pub fn is_filled(&self) -> bool {
-        self.cell.lock().unwrap().is_some()
+        self.cell
+            .lock()
+            .expect("no thread panics holding a slot")
+            .is_some()
     }
 
     fn take(&self) -> Option<String> {
-        self.cell.lock().unwrap().take()
-    }
-}
-
-impl Default for ResponseSlot {
-    fn default() -> Self {
-        ResponseSlot::new()
+        self.cell
+            .lock()
+            .expect("no thread panics holding a slot")
+            .take()
     }
 }
 
@@ -116,6 +189,7 @@ impl Default for EventLoopConfig {
 pub struct EventLoopHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     connections: Arc<AtomicUsize>,
     accepted: Arc<AtomicU64>,
     thread: Option<JoinHandle<()>>,
@@ -147,7 +221,12 @@ impl EventLoopHandle {
     /// after the handler's workers have filled every outstanding slot —
     /// unfilled slots at the deadline are dropped with their connections.
     pub fn stop_and_join(mut self) {
+        self.stop_thread();
+    }
+
+    fn stop_thread(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.ring();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -156,14 +235,11 @@ impl EventLoopHandle {
 
 impl Drop for EventLoopHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.stop_thread();
     }
 }
 
-/// Bind `addr` and start the sweep thread.
+/// Bind `addr` and start the loop thread.
 pub fn spawn_event_loop(
     addr: &str,
     handler: Arc<dyn LineHandler>,
@@ -172,31 +248,34 @@ pub fn spawn_event_loop(
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let waker = Arc::new(Waker {
+        tx: wake_tx,
+        armed: AtomicBool::new(false),
+    });
     let stop = Arc::new(AtomicBool::new(false));
     let connections = Arc::new(AtomicUsize::new(0));
     let accepted = Arc::new(AtomicU64::new(0));
-    let thread = {
-        let stop = Arc::clone(&stop);
-        let connections = Arc::clone(&connections);
-        let accepted = Arc::clone(&accepted);
-        std::thread::Builder::new()
-            .name("fleet-event-loop".to_string())
-            .spawn(move || {
-                let mut state = LoopState {
-                    listener,
-                    handler,
-                    config,
-                    conns: Vec::new(),
-                    stop,
-                    connections,
-                    accepted,
-                };
-                state.run();
-            })?
+    let mut state = LoopState {
+        listener,
+        wake_rx,
+        waker: Arc::clone(&waker),
+        handler,
+        config,
+        conns: Vec::new(),
+        stop: Arc::clone(&stop),
+        connections: Arc::clone(&connections),
+        accepted: Arc::clone(&accepted),
     };
+    let thread = std::thread::Builder::new()
+        .name("fleet-event-loop".to_string())
+        .spawn(move || state.run())?;
     Ok(EventLoopHandle {
         addr,
         stop,
+        waker,
         connections,
         accepted,
         thread: Some(thread),
@@ -220,8 +299,37 @@ struct Conn {
     dead: bool,
 }
 
+impl Conn {
+    fn flushed(&self) -> bool {
+        self.outbuf.len() == self.out_pos
+    }
+
+    /// Nothing is owed to the client.
+    fn idle(&self) -> bool {
+        self.pending.is_empty() && self.flushed()
+    }
+
+    /// Whether the oldest unanswered line has its answer.
+    fn answered(&self) -> bool {
+        self.pending.front().is_some_and(ResponseSlot::is_filled)
+    }
+
+    fn interest(&self) -> PollFd {
+        let mut events = 0;
+        if !self.dead && !self.read_closed {
+            events |= POLLIN;
+        }
+        if !self.dead && !self.flushed() {
+            events |= POLLOUT;
+        }
+        PollFd::new(self.stream.as_raw_fd(), events)
+    }
+}
+
 struct LoopState {
     listener: TcpListener,
+    wake_rx: UnixStream,
+    waker: Arc<Waker>,
     handler: Arc<dyn LineHandler>,
     config: EventLoopConfig,
     conns: Vec<Conn>,
@@ -232,40 +340,75 @@ struct LoopState {
 
 impl LoopState {
     fn run(&mut self) {
-        let mut drain_started: Option<Instant> = None;
+        let mut drain_deadline: Option<Instant> = None;
+        let mut fds: Vec<PollFd> = Vec::new();
         loop {
             let stopping = self.stop.load(Ordering::SeqCst);
-            let mut progress = false;
-            if !stopping {
-                progress |= self.accept_pending();
-            }
-            progress |= self.sweep_connections(stopping);
-            self.reap(stopping);
-            self.connections.store(self.conns.len(), Ordering::SeqCst);
             if stopping {
-                let started = *drain_started.get_or_insert_with(Instant::now);
-                let drained = self
-                    .conns
-                    .iter()
-                    .all(|c| c.pending.is_empty() && c.outbuf.len() == c.out_pos);
-                if drained || started.elapsed() >= DRAIN_DEADLINE {
+                let deadline =
+                    *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_DEADLINE);
+                if self.conns.iter().all(Conn::idle) || Instant::now() >= deadline {
                     self.conns.clear();
                     self.connections.store(0, Ordering::SeqCst);
                     return;
                 }
             }
-            if !progress {
-                std::thread::sleep(IDLE_SLEEP);
+            // Interest set: the wake socket, the listener (until drain),
+            // then one entry per connection, index-aligned with `conns`.
+            fds.clear();
+            fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+            let accept = if stopping { 0 } else { POLLIN };
+            fds.push(PollFd::new(self.listener.as_raw_fd(), accept));
+            fds.extend(self.conns.iter().map(Conn::interest));
+            // Arm the doorbell, then look once more: a slot filled before
+            // arming rang nothing, so it must be seen here.
+            self.waker.armed.store(true, Ordering::SeqCst);
+            let timeout_ms = if self.conns.iter().any(Conn::answered) {
+                0
+            } else if let Some(deadline) = drain_deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                i32::try_from(left.as_millis())
+                    .unwrap_or(i32::MAX)
+                    .saturating_add(1)
+            } else {
+                -1
+            };
+            wait_ready(&mut fds, timeout_ms);
+            self.waker.armed.store(false, Ordering::SeqCst);
+            if fds[0].ready() {
+                let mut sink = [0u8; 64];
+                while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
             }
+            let known = self.conns.len();
+            if fds[1].ready() {
+                self.accept_pending();
+            }
+            for (i, conn) in self.conns.iter_mut().enumerate() {
+                // A fresh connection gets one optimistic read: clients
+                // usually write right after connecting.
+                let ready = i >= known || fds[i + 2].ready();
+                if ready {
+                    read_available(conn);
+                    // During drain no new work is started; half-received
+                    // lines never complete and go with the connection.
+                    if !stopping {
+                        parse_lines(conn, self.handler.as_ref(), &self.waker);
+                    }
+                }
+                if ready || !conn.pending.is_empty() {
+                    promote_ready(conn);
+                    flush(conn);
+                }
+            }
+            self.reap(stopping);
+            self.connections.store(self.conns.len(), Ordering::SeqCst);
         }
     }
 
-    fn accept_pending(&mut self) -> bool {
-        let mut progress = false;
+    fn accept_pending(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    progress = true;
                     self.accepted.fetch_add(1, Ordering::SeqCst);
                     if self.conns.len() >= self.config.max_connections {
                         drop(stream); // over the cap: refuse by closing
@@ -286,72 +429,36 @@ impl LoopState {
                         dead: false,
                     });
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => break, // WouldBlock: nothing more is pending
             }
         }
-        progress
-    }
-
-    fn sweep_connections(&mut self, stopping: bool) -> bool {
-        let mut progress = false;
-        for i in 0..self.conns.len() {
-            let conn = &mut self.conns[i];
-            if conn.dead {
-                continue;
-            }
-            progress |= read_available(conn);
-            // During drain no new work is started; half-received lines
-            // will never complete and are abandoned with the connection.
-            if !stopping {
-                progress |= parse_lines(conn, self.handler.as_ref());
-            }
-            progress |= promote_ready(conn);
-            progress |= flush(conn);
-        }
-        progress
     }
 
     /// Drop connections that are finished or broken. During drain, any
     /// connection with nothing left to say is closed immediately.
     fn reap(&mut self, stopping: bool) {
         self.conns.retain(|conn| {
-            if conn.dead {
-                return false;
-            }
-            let flushed = conn.outbuf.len() == conn.out_pos;
-            let idle = conn.pending.is_empty() && flushed;
-            if conn.close_after_flush && idle {
-                return false;
-            }
-            if conn.read_closed && idle {
-                return false;
-            }
-            if stopping && idle {
-                return false;
-            }
-            true
+            let done = conn.close_after_flush || conn.read_closed || stopping;
+            let close = conn.dead || (done && conn.idle());
+            !close
         });
     }
 }
 
-fn read_available(conn: &mut Conn) -> bool {
-    if conn.read_closed {
-        return false;
+fn read_available(conn: &mut Conn) {
+    if conn.read_closed || conn.dead {
+        return;
     }
-    let mut progress = false;
     let mut chunk = [0u8; 8192];
     loop {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 conn.read_closed = true;
-                progress = true;
                 break;
             }
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&chunk[..n]);
-                progress = true;
                 if conn.inbuf.len() > MAX_LINE_BYTES {
                     conn.dead = true;
                     break;
@@ -365,16 +472,17 @@ fn read_available(conn: &mut Conn) -> bool {
             }
         }
     }
-    progress
 }
 
-fn parse_lines(conn: &mut Conn, handler: &dyn LineHandler) -> bool {
-    let mut progress = false;
+fn parse_lines(conn: &mut Conn, handler: &dyn LineHandler, waker: &Arc<Waker>) {
+    if conn.close_after_flush {
+        conn.inbuf.clear(); // trailing HTTP headers are irrelevant
+        return;
+    }
     while let Some(newline) = conn.inbuf.iter().position(|&b| b == b'\n') {
         let line_bytes: Vec<u8> = conn.inbuf.drain(..=newline).collect();
         let line = String::from_utf8_lossy(&line_bytes);
         let line = line.trim_end_matches(['\n', '\r']);
-        progress = true;
         if line.is_empty() {
             continue;
         }
@@ -392,60 +500,40 @@ fn parse_lines(conn: &mut Conn, handler: &dyn LineHandler) -> bool {
                 );
                 conn.outbuf.extend_from_slice(body.as_bytes());
                 conn.close_after_flush = true;
-                conn.inbuf.clear(); // remaining HTTP headers are irrelevant
-                return true;
+                conn.inbuf.clear();
+                return;
             }
         }
-        let slot = ResponseSlot::new();
+        let slot = ResponseSlot::new(waker);
         handler.on_line(line, slot.clone());
         conn.pending.push_back(slot);
         conn.served_lines += 1;
     }
-    progress
 }
 
 /// Move filled slots (respecting arrival order) into the write buffer.
-fn promote_ready(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    while let Some(front) = conn.pending.front() {
-        match front.take() {
-            Some(line) => {
-                conn.outbuf.extend_from_slice(line.as_bytes());
-                conn.outbuf.push(b'\n');
-                conn.pending.pop_front();
-                progress = true;
-            }
-            None => break,
-        }
+fn promote_ready(conn: &mut Conn) {
+    while let Some(line) = conn.pending.front().and_then(ResponseSlot::take) {
+        conn.outbuf.extend_from_slice(line.as_bytes());
+        conn.outbuf.push(b'\n');
+        conn.pending.pop_front();
     }
-    progress
 }
 
-fn flush(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    while conn.out_pos < conn.outbuf.len() {
+fn flush(conn: &mut Conn) {
+    while !conn.dead && !conn.flushed() {
         match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                progress = true;
-            }
+            Ok(0) => conn.dead = true,
+            Ok(n) => conn.out_pos += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
+            Err(_) => conn.dead = true,
         }
     }
-    if conn.out_pos == conn.outbuf.len() && conn.out_pos > 0 {
+    if conn.flushed() {
         conn.outbuf.clear();
         conn.out_pos = 0;
     }
-    progress
 }
 
 #[cfg(test)]
@@ -629,6 +717,69 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert_eq!(line.trim_end(), "echo:still-here");
+        handle.stop_and_join();
+    }
+
+    #[test]
+    fn stop_wakes_a_loop_blocked_in_poll() {
+        let handle =
+            spawn_event_loop("127.0.0.1:0", Arc::new(Echo), EventLoopConfig::default()).unwrap();
+        let _idle = TcpStream::connect(handle.addr()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.connections() < 1 {
+            assert!(
+                Instant::now() < deadline,
+                "loop never accepted the connection"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Nothing is readable and nothing is owed, so the loop parks in
+        // poll with no timeout; only the stop doorbell can move it. The
+        // pause just gives it time to park — a loop that has not parked
+        // yet stops promptly too.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        handle.stop_and_join();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "stop took {:?} to wake an idle loop",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn fill_from_another_thread_wakes_an_idle_loop() {
+        let handler = Arc::new(Staggered {
+            release: Arc::new(AtomicBool::new(false)),
+            held: Mutex::new(Vec::new()),
+        });
+        let handle = spawn_event_loop(
+            "127.0.0.1:0",
+            Arc::clone(&handler) as Arc<dyn LineHandler>,
+            EventLoopConfig::default(),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.write_all(b"2\n3\n").unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "even:2", "the inline answer goes first");
+        // Let the loop park in poll, then answer the held line from a
+        // thread of its own: the fill alone must get it onto the wire.
+        std::thread::sleep(Duration::from_millis(50));
+        let held = handler.held.lock().unwrap().pop().expect("line 3 is held");
+        std::thread::spawn(move || held.1.fill(format!("odd:{}", held.0)))
+            .join()
+            .unwrap();
+        line.clear();
+        reader
+            .read_line(&mut line)
+            .expect("a worker's fill must wake the loop");
+        assert_eq!(line.trim_end(), "odd:3");
         handle.stop_and_join();
     }
 }

@@ -1,19 +1,22 @@
-//! `galvatron-fleet`: sharded, replicated plan serving.
+//! `galvatron-fleet`: the plan server, sharded and replicated.
 //!
-//! One plan-serving daemon ([`galvatron-serve`](galvatron_serve)) answers
-//! from a single response cache with a thread per connection. This crate
-//! scales that out to an N-replica **fleet** while keeping the wire
-//! protocol, the answers and their exact bytes unchanged:
+//! A replica answers the [`galvatron-serve`](galvatron_serve) wire
+//! protocol from its own response cache; the `galvatron-served` daemon is
+//! one replica with no peers. This crate scales that out to an N-replica
+//! **fleet** while keeping the wire protocol, the answers and their exact
+//! bytes unchanged:
 //!
 //! * [`event`] — an event-driven connection layer on pure `std`
-//!   (non-blocking sockets, one sweep thread), so a replica holds
-//!   thousands of idle connections without a thread each.
+//!   (non-blocking sockets, one thread blocked in `poll(2)`, woken by a
+//!   finished answer), so a replica holds thousands of idle connections
+//!   without a thread each.
 //! * [`ring`] — a consistent-hash ring over the response-cache key
 //!   `(model JSON, topology fingerprint, budget)` with FNV-1a hashing,
 //!   deterministic across processes; adding a replica to an N-replica
 //!   ring remaps ~1/(N+1) of the keyspace.
-//! * [`replica`] — the event-driven serving replica: waiter-table
-//!   single-flight, bounded-queue workers, and the peer protocol
+//! * [`replica`] — the plan server: waiter-table single-flight,
+//!   bounded-queue workers with deterministic shedding, graceful drain,
+//!   warm restarts from a persisted cache, and the peer protocol
 //!   (gossip push of fresh answers to ring successors, snapshot export
 //!   for joiners).
 //! * [`router`] — the front-end that owns no cache: it relays raw request
@@ -23,8 +26,8 @@
 //!
 //! The division of labor with `galvatron-serve` is deliberate: serve owns
 //! the protocol, cache and stable-bytes contract; fleet owns placement,
-//! replication and connection scaling. A fleet of one replica behaves
-//! exactly like the daemon, byte for byte.
+//! replication and connection handling. A fleet of one replica *is* the
+//! daemon.
 //!
 //! ```no_run
 //! use galvatron_fleet::{FleetReplica, FleetRouter, ReplicaConfig, RouterConfig};

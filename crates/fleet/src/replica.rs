@@ -1,17 +1,35 @@
-//! One fleet replica: the event-driven counterpart of
-//! [`PlanServer`](galvatron_serve::PlanServer).
+//! The plan server: one replica of the fleet, or on its own the
+//! `galvatron-served` daemon (a fleet of one, with no peers and no gossip).
 //!
-//! A replica serves the same JSONL protocol as the single daemon and gives
-//! the same answers — the stable-bytes contract is shared via
-//! [`WireResult`] — but its connection layer is the [`event`](crate::event)
-//! sweep loop instead of a thread per client, so one replica comfortably
-//! fronts thousands of mostly-idle connections. Request admission is
-//! restructured around that: where the daemon's connection thread *blocks*
-//! on a single-flight, the replica records a **waiter** (`ResponseSlot` +
-//! envelope fields) per request and the worker that finishes the
-//! computation fills every waiter's slot; coalescing falls out of the
-//! waiter list — the first waiter for a key enqueues the job, later ones
-//! just append.
+//! ```text
+//! event loop ── parse line → inline answers (ping/metrics/stats/...)
+//!     │  plan: validate → cache → waiter table → bounded queue
+//!     │                     hit ⇒ answer   │ follower ⇒ park │ full ⇒ shed
+//!     ▼                                    ▼                 ▼
+//! ResponseSlot ◀── fill every waiter ── workers ── queue.pop
+//!                                          │ PlanService::submit
+//!                                          ▼
+//!                              cache.insert (+ gossip to ring successors)
+//! ```
+//!
+//! The connection layer is the [`event`](crate::event) loop, so one
+//! replica fronts thousands of mostly-idle connections without a thread
+//! each. Admission never blocks that loop: each plan request records a
+//! **waiter** (`ResponseSlot` + envelope fields) and the worker that
+//! finishes the computation fills every waiter's slot. Single-flight falls
+//! out of the waiter table — the first waiter for a key enqueues the job,
+//! later ones just append — so a herd of `N` identical requests costs one
+//! queue slot and one computation. A cache hit or a coalesced follower
+//! never consumes a queue slot; when the queue is full the leader and its
+//! followers are refused at once with `Overloaded` and a `retry_after_ms`
+//! hint, so capacity `Q` means at most `Q` queued computations, always.
+//! A planner panic is caught in the worker and answered as `PlannerError`.
+//!
+//! Every stage is measured through [`galvatron-obs`](galvatron_obs)
+//! (`serve_*` metrics with an `instance` label, a span tree per traced
+//! request, the `/trace/slow` ring), and `GET /metrics` / `GET /healthz`
+//! answer on the serving port. With `persist_path` set, the response cache
+//! is loaded at start and written back at shutdown (warm restarts).
 //!
 //! On top of serving, a replica participates in the fleet's cache fabric:
 //!
@@ -40,6 +58,8 @@ use galvatron_serve::{
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -49,6 +69,11 @@ const TICK: Duration = Duration::from_millis(100);
 const RETRY_AFTER_MS: u64 = 50;
 /// K-slowest traced requests kept for `/trace/slow`.
 const SLOW_RING_CAPACITY: usize = 32;
+/// How long a fresh answer waits before it is gossiped. A push costs a
+/// serialization here and a parse on the peer; waiting lets the answer
+/// reach its own client first instead of competing with its replication
+/// for the CPU.
+const GOSSIP_DELAY: Duration = Duration::from_millis(5);
 
 /// Replica configuration.
 #[derive(Debug, Clone)]
@@ -70,6 +95,13 @@ pub struct ReplicaConfig {
     pub gossip_fanout: usize,
     /// Hard cap on concurrently open connections.
     pub max_connections: usize,
+    /// When set, the response cache is loaded from this file at start and
+    /// written back at shutdown (warm restarts). Snapshots written under a
+    /// different planner config are ignored.
+    pub persist_path: Option<PathBuf>,
+    /// The `instance` label on every metric and in `/healthz`;
+    /// `replica-<id>` when unset.
+    pub instance: Option<String>,
 }
 
 impl Default for ReplicaConfig {
@@ -83,6 +115,8 @@ impl Default for ReplicaConfig {
             planner: PlannerConfig::default(),
             gossip_fanout: 1,
             max_connections: 16_384,
+            persist_path: None,
+            instance: None,
         }
     }
 }
@@ -142,12 +176,15 @@ struct PeerTable {
 }
 
 /// A cache entry queued for gossip, with the trace context (if any) of
-/// the request that computed it so the push is linked into its tree.
-type GossipItem = (CacheEntry, Option<TraceContext>);
+/// the request that computed it so the push is linked into its tree, and
+/// when it was offered.
+type GossipItem = (CacheEntry, Option<TraceContext>, Instant);
 
 struct Shared {
     id: usize,
     instance: String,
+    /// The planner config's Debug form: gates persisted snapshots.
+    config_fingerprint: String,
     service: PlanService,
     cache: ResponseCache,
     waiters: Mutex<HashMap<PlanKey, Vec<Waiter>>>,
@@ -161,6 +198,7 @@ struct Shared {
     coalesced: AtomicU64,
     shed: AtomicU64,
     computed: AtomicU64,
+    panics: AtomicU64,
     gossip_sent: AtomicU64,
     gossip_accepted: AtomicU64,
     warm_join_imported: AtomicU64,
@@ -187,9 +225,10 @@ impl Shared {
         }
     }
 
-    /// Same metric names (and `instance` label discipline) as the single
-    /// daemon, so one Prometheus dashboard covers both, plus the
-    /// fleet-only series (connections, gossip, warm-join).
+    /// Push the internal tallies into the metrics registry (counters only
+    /// move forward, so each is topped up to its cumulative count). Every
+    /// series carries the `instance` label, so one Prometheus dashboard
+    /// covers a daemon and every replica of a fleet.
     fn refresh_metrics(&self) {
         let registry = self.obs.registry();
         let labels = [("instance", self.instance.as_str())];
@@ -216,6 +255,10 @@ impl Shared {
             ("serve_cache_hits_total", stats.cache_hits),
             ("serve_cache_misses_total", stats.cache_misses),
             ("serve_cache_evictions_total", stats.cache_evictions),
+            (
+                "serve_planner_panics_total",
+                self.panics.load(Ordering::SeqCst),
+            ),
             (
                 "fleet_gossip_sent_total",
                 self.gossip_sent.load(Ordering::SeqCst),
@@ -343,9 +386,31 @@ impl Shared {
                     result: result.clone(),
                 },
                 trace,
+                Instant::now(),
             ));
         }
     }
+}
+
+/// An envelope for an answer that never waited on a computation.
+fn direct(id: u64, name: String, result: WireResult) -> WireResponse {
+    WireResponse {
+        id,
+        name,
+        cached: false,
+        coalesced: false,
+        attribution: None,
+        result,
+    }
+}
+
+/// An error answer without a retry hint.
+fn no_retry(code: ErrorCode, message: String) -> WireResult {
+    WireResult::Error(ServeError {
+        code,
+        message,
+        retry_after_ms: None,
+    })
 }
 
 fn fill(slot: &ResponseSlot, response: WireResponse) {
@@ -372,22 +437,11 @@ impl LineHandler for ReplicaHandler {
         let request: WireRequest = match serde_json::from_str(line) {
             Ok(request) => request,
             Err(e) => {
-                fill(
+                let message = format!("unparseable request line: {e}");
+                return fill(
                     &slot,
-                    WireResponse {
-                        id: 0,
-                        name: String::new(),
-                        cached: false,
-                        coalesced: false,
-                        attribution: None,
-                        result: WireResult::Error(ServeError {
-                            code: ErrorCode::BadRequest,
-                            message: format!("unparseable request line: {e}"),
-                            retry_after_ms: None,
-                        }),
-                    },
+                    direct(0, String::new(), no_retry(ErrorCode::BadRequest, message)),
                 );
-                return;
             }
         };
         let (id, name) = (request.id, request.name.clone());
@@ -397,39 +451,21 @@ impl LineHandler for ReplicaHandler {
             .trace
             .as_ref()
             .and_then(|wire| wire.context().map(|ctx| (ctx, wire.attribution)));
-        let inline = |result: WireResult, cached: bool| {
-            fill(
-                &slot,
-                WireResponse {
-                    id,
-                    name: name.clone(),
-                    cached,
-                    coalesced: false,
-                    attribution: None,
-                    result,
-                },
-            );
-        };
+        let inline = |result: WireResult| fill(&slot, direct(id, name.clone(), result));
         match request.body {
-            RequestBody::Ping => inline(WireResult::Pong(PROTOCOL_VERSION), false),
-            RequestBody::Stats => inline(WireResult::Stats(shared.stats()), false),
+            RequestBody::Ping => inline(WireResult::Pong(PROTOCOL_VERSION)),
+            RequestBody::Stats => inline(WireResult::Stats(shared.stats())),
             RequestBody::Metrics => {
                 shared.refresh_metrics();
-                inline(
-                    WireResult::Metrics(shared.obs.registry().snapshot().to_prometheus()),
-                    false,
-                );
+                inline(WireResult::Metrics(
+                    shared.obs.registry().snapshot().to_prometheus(),
+                ));
             }
             RequestBody::MetricsPull => {
                 shared.refresh_metrics();
-                inline(
-                    WireResult::MetricsState(shared.obs.registry().snapshot()),
-                    false,
-                );
+                inline(WireResult::MetricsState(shared.obs.registry().snapshot()));
             }
-            RequestBody::SlowTracePull => {
-                inline(WireResult::SlowTraces(shared.slow.drain()), false)
-            }
+            RequestBody::SlowTracePull => inline(WireResult::SlowTraces(shared.slow.drain())),
             RequestBody::SnapshotPull { max_entries } => {
                 let serve_started = Instant::now();
                 let serve_epoch = shared.obs.now_seconds();
@@ -458,7 +494,7 @@ impl LineHandler for ReplicaHandler {
                         fields,
                     );
                 }
-                inline(WireResult::Snapshot(entries), false);
+                inline(WireResult::Snapshot(entries));
             }
             RequestBody::GossipPush { entries } => {
                 let receive_started = Instant::now();
@@ -491,16 +527,12 @@ impl LineHandler for ReplicaHandler {
                         fields,
                     );
                 }
-                inline(WireResult::Ack(accepted as u64), false);
+                inline(WireResult::Ack(accepted as u64));
             }
-            RequestBody::FleetCheck(_) => inline(
-                WireResult::Error(ServeError {
-                    code: ErrorCode::BadRequest,
-                    message: "FleetCheck requires a fleet router; this is a replica".to_string(),
-                    retry_after_ms: None,
-                }),
-                false,
-            ),
+            RequestBody::FleetCheck(_) => inline(no_retry(
+                ErrorCode::BadRequest,
+                "FleetCheck requires a fleet router; this is a replica".to_string(),
+            )),
             RequestBody::Plan(body) => handle_plan(shared, body, id, name, trace, slot),
         }
     }
@@ -577,53 +609,17 @@ fn handle_plan(
         arrival_epoch,
         cache_lookup_seconds: 0.0,
     });
-    let error = |code: ErrorCode, message: String, retry: Option<u64>| {
-        fill(
-            &slot,
-            WireResponse {
-                id,
-                name: name.clone(),
-                cached: false,
-                coalesced: false,
-                attribution: None,
-                result: WireResult::Error(ServeError {
-                    code,
-                    message,
-                    retry_after_ms: retry,
-                }),
-            },
-        );
-    };
+    let reply = |result: WireResult| fill(&slot, direct(id, name.clone(), result));
     if shared.stop.load(Ordering::SeqCst) {
-        let result = shared.shutting_down();
-        fill(
-            &slot,
-            WireResponse {
-                id,
-                name,
-                cached: false,
-                coalesced: false,
-                attribution: None,
-                result,
-            },
-        );
-        return;
+        return reply(shared.shutting_down());
     }
     if let Err(e) = body.topology.validate() {
-        error(
-            ErrorCode::InvalidTopology,
-            format!("invalid topology: {e}"),
-            None,
-        );
-        return;
+        let message = format!("invalid topology: {e}");
+        return reply(no_retry(ErrorCode::InvalidTopology, message));
     }
     let Ok(model_json) = serde_json::to_string(&body.model) else {
-        error(
-            ErrorCode::BadRequest,
-            "model does not serialize canonically".to_string(),
-            None,
-        );
-        return;
+        let message = "model does not serialize canonically".to_string();
+        return reply(no_retry(ErrorCode::BadRequest, message));
     };
     let key = PlanKey {
         model_json,
@@ -718,8 +714,11 @@ fn handle_plan(
 }
 
 /// A worker: pop, compute once, publish to cache + waiters + gossip.
-/// Same drain semantics as the single daemon: jobs popped before stop
-/// complete; jobs popped after answer `ShuttingDown`.
+///
+/// Drain semantics: a job popped before the stop flag rose is in flight
+/// and completes normally; jobs popped after it are answered with a
+/// retryable `ShuttingDown` — never a dropped socket, and never a
+/// minutes-long DP run between the operator and the restart.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         if shared.stop.load(Ordering::SeqCst) && shared.queue.is_empty() {
@@ -778,6 +777,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Run the plan service. Returns the stable answer and whether it is
+/// deterministic (plans and infeasibility verdicts are; planner errors
+/// are not and must not be cached). A panic inside the planner becomes a
+/// `PlannerError` for this key's waiters and leaves the worker running.
 fn compute(shared: &Arc<Shared>, job: &Job) -> (WireResult, bool) {
     shared.computed.fetch_add(1, Ordering::SeqCst);
     let request = PlanRequest {
@@ -786,27 +789,32 @@ fn compute(shared: &Arc<Shared>, job: &Job) -> (WireResult, bool) {
         topology: job.body.topology.clone(),
         budget_bytes: job.body.budget_bytes,
     };
-    match shared.service.submit(&request) {
+    let Ok(submitted) = catch_unwind(AssertUnwindSafe(|| shared.service.submit(&request))) else {
+        shared.panics.fetch_add(1, Ordering::SeqCst);
+        return (
+            no_retry(
+                ErrorCode::PlannerError,
+                "planner panicked on this request".to_string(),
+            ),
+            false,
+        );
+    };
+    match submitted {
         Ok(response) => match response.outcome {
             Some(outcome) => (WireResult::Plan(outcome.into()), true),
             None => (
-                WireResult::Error(ServeError {
-                    code: ErrorCode::Infeasible,
-                    message: format!(
+                no_retry(
+                    ErrorCode::Infeasible,
+                    format!(
                         "no parallel configuration fits {} bytes per device",
                         job.body.budget_bytes
                     ),
-                    retry_after_ms: None,
-                }),
+                ),
                 true,
             ),
         },
         Err(e) => (
-            WireResult::Error(ServeError {
-                code: ErrorCode::PlannerError,
-                message: format!("planner error: {e}"),
-                retry_after_ms: None,
-            }),
+            no_retry(ErrorCode::PlannerError, format!("planner error: {e}")),
             false,
         ),
     }
@@ -815,13 +823,10 @@ fn compute(shared: &Arc<Shared>, job: &Job) -> (WireResult, bool) {
 /// Push gossiped entries to their ring successors. Runs on its own thread
 /// with its own peer connections; any failure just drops that push —
 /// gossip is an optimization, correctness never depends on it.
-fn gossip_loop(
-    shared: &Arc<Shared>,
-    rx: mpsc::Receiver<(CacheEntry, Option<TraceContext>)>,
-    fanout: usize,
-) {
+fn gossip_loop(shared: &Arc<Shared>, rx: mpsc::Receiver<GossipItem>, fanout: usize) {
     let mut conns: HashMap<usize, PlanClient> = HashMap::new();
-    for (entry, trace) in rx {
+    for (entry, trace, offered) in rx {
+        std::thread::sleep(GOSSIP_DELAY.saturating_sub(offered.elapsed()));
         let targets: Vec<(usize, SocketAddr)> = {
             let peers = shared.peers.lock().unwrap();
             peers
@@ -905,16 +910,33 @@ pub struct ReplicaHandle {
     workers: Vec<JoinHandle<()>>,
     gossip: Option<JoinHandle<()>>,
     addr: SocketAddr,
+    persist_path: Option<PathBuf>,
 }
 
 impl FleetReplica {
     /// Bind and start the event loop, worker pool and gossip thread.
     pub fn start(config: ReplicaConfig, obs: Obs) -> std::io::Result<ReplicaHandle> {
+        let instance = config
+            .instance
+            .clone()
+            .unwrap_or_else(|| format!("replica-{}", config.id));
+        let config_fingerprint = format!("{:?}", config.planner);
+        let cache = ResponseCache::new(config.cache_max_bytes);
+        if let Some(path) = &config.persist_path {
+            let loaded = cache.load(path, &config_fingerprint);
+            obs.registry()
+                .counter_with(
+                    "serve_cache_loaded_total",
+                    &[("instance", instance.as_str())],
+                )
+                .inc_by(loaded as u64);
+        }
         let shared = Arc::new(Shared {
             id: config.id,
-            instance: format!("replica-{}", config.id),
+            instance,
+            config_fingerprint,
             service: PlanService::new(config.planner.clone()).with_obs(obs.clone()),
-            cache: ResponseCache::new(config.cache_max_bytes),
+            cache,
             waiters: Mutex::new(HashMap::new()),
             queue: BoundedQueue::new(config.queue_capacity),
             peers: Mutex::new(PeerTable {
@@ -929,6 +951,7 @@ impl FleetReplica {
             coalesced: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             computed: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             gossip_sent: AtomicU64::new(0),
             gossip_accepted: AtomicU64::new(0),
             warm_join_imported: AtomicU64::new(0),
@@ -966,6 +989,7 @@ impl FleetReplica {
             workers,
             gossip,
             addr,
+            persist_path: config.persist_path,
         })
     }
 }
@@ -981,9 +1005,27 @@ impl ReplicaHandle {
         self.shared.id
     }
 
-    /// The `instance` metric label (`replica-<id>`).
+    /// The `instance` metric label (`replica-<id>` unless configured).
     pub fn instance(&self) -> String {
         self.shared.instance.clone()
+    }
+
+    /// Freeze the worker pool. Queued and future jobs wait; admission
+    /// (cache hits, coalescing, shedding) keeps running, which is what
+    /// deterministic herd and shed tests need. Once this returns, no
+    /// worker dequeues another job until [`resume`](Self::resume).
+    pub fn pause(&self) {
+        self.shared.queue.set_paused(true);
+    }
+
+    /// Release a paused worker pool.
+    pub fn resume(&self) {
+        self.shared.queue.set_paused(false);
+    }
+
+    /// Jobs currently queued.
+    pub fn queue_len(&self) -> usize {
+        self.shared.queue.len()
     }
 
     /// Currently open connections on the event loop.
@@ -1071,9 +1113,10 @@ impl ReplicaHandle {
         Ok(imported)
     }
 
-    /// Graceful drain, same contract as the single daemon: stop admitting,
-    /// finish in-flight computations, answer queued jobs and their waiters
-    /// with `ShuttingDown`, flush every connection, join every thread.
+    /// Graceful drain: stop admitting, finish in-flight computations,
+    /// answer queued jobs and their waiters with `ShuttingDown`, flush
+    /// every connection, join every thread, and (when configured) persist
+    /// the response cache for a warm restart.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.queue.close();
@@ -1104,6 +1147,12 @@ impl ReplicaHandle {
         }
         if let Some(event) = self.event.take() {
             event.stop_and_join();
+        }
+        if let Some(path) = &self.persist_path {
+            let _ = self
+                .shared
+                .cache
+                .persist(path, &self.shared.config_fingerprint);
         }
     }
 }

@@ -248,80 +248,33 @@ impl LineHandler for RouterHandler {
             }
         };
         let (id, name) = (request.id, request.name.clone());
+        let answer = |result: WireResult| {
+            fill_json(
+                &slot,
+                &WireResponse {
+                    id,
+                    name: name.clone(),
+                    cached: false,
+                    coalesced: false,
+                    attribution: None,
+                    result,
+                },
+            );
+        };
         let kind = match request.body {
-            RequestBody::Ping => {
-                fill_json(
-                    &slot,
-                    &WireResponse {
-                        id,
-                        name,
-                        cached: false,
-                        coalesced: false,
-                        attribution: None,
-                        result: WireResult::Pong(PROTOCOL_VERSION),
-                    },
-                );
-                return;
-            }
-            RequestBody::Stats => {
-                fill_json(
-                    &slot,
-                    &WireResponse {
-                        id,
-                        name,
-                        cached: false,
-                        coalesced: false,
-                        attribution: None,
-                        result: WireResult::Stats(shared.stats()),
-                    },
-                );
-                return;
-            }
+            RequestBody::Ping => return answer(WireResult::Pong(PROTOCOL_VERSION)),
+            RequestBody::Stats => return answer(WireResult::Stats(shared.stats())),
             RequestBody::Metrics => {
                 shared.refresh_metrics();
-                fill_json(
-                    &slot,
-                    &WireResponse {
-                        id,
-                        name,
-                        cached: false,
-                        coalesced: false,
-                        attribution: None,
-                        result: WireResult::Metrics(
-                            shared.obs.registry().snapshot().to_prometheus(),
-                        ),
-                    },
-                );
-                return;
+                let text = shared.obs.registry().snapshot().to_prometheus();
+                return answer(WireResult::Metrics(text));
             }
             RequestBody::MetricsPull => {
                 shared.refresh_metrics();
-                fill_json(
-                    &slot,
-                    &WireResponse {
-                        id,
-                        name,
-                        cached: false,
-                        coalesced: false,
-                        attribution: None,
-                        result: WireResult::MetricsState(shared.obs.registry().snapshot()),
-                    },
-                );
-                return;
+                return answer(WireResult::MetricsState(shared.obs.registry().snapshot()));
             }
             RequestBody::SlowTracePull => {
-                fill_json(
-                    &slot,
-                    &WireResponse {
-                        id,
-                        name,
-                        cached: false,
-                        coalesced: false,
-                        attribution: None,
-                        result: WireResult::SlowTraces(shared.slow.drain()),
-                    },
-                );
-                return;
+                return answer(WireResult::SlowTraces(shared.slow.drain()))
             }
             RequestBody::SnapshotPull { .. } | RequestBody::GossipPush { .. } => {
                 fill_json(
@@ -631,6 +584,14 @@ fn forward(
 /// any failover) to the replica's record and lift the total to the
 /// router-observed wall time.
 fn finish_traced_forward(shared: &Arc<Shared>, trace: &RouteTrace, response: String) -> String {
+    // Attribution rides the parsed envelope, so parse first: the parse is
+    // router work and belongs inside the router-observed wall time. A
+    // response that does not parse (or carries no record) is relayed
+    // untouched.
+    let parsed = trace
+        .want_attribution
+        .then(|| serde_json::from_str::<WireResponse>(&response).ok())
+        .flatten();
     let total = trace.received.elapsed().as_secs_f64();
     let mut fields = link_fields(&SpanLink {
         trace_id: trace.server.trace_id,
@@ -645,12 +606,7 @@ fn finish_traced_forward(shared: &Arc<Shared>, trace: &RouteTrace, response: Str
         fields,
     };
     shared.obs.sink().record(route_span.clone());
-    if !trace.want_attribution {
-        return response;
-    }
-    // Attribution rides the parsed envelope; a response that does not
-    // parse (or carries no record) is relayed untouched.
-    let Ok(mut parsed) = serde_json::from_str::<WireResponse>(&response) else {
+    let Some(mut parsed) = parsed else {
         return response;
     };
     let Some(mut attr) = parsed.attribution.take() else {

@@ -17,7 +17,8 @@
 //! The planner's output is byte-identical to the serial optimizer for every
 //! `jobs` count and for every cache/pruning combination; the
 //! `planner_parallelism` integration suite asserts this across the model
-//! zoo and budget grid, and the `planner_speedup` bench measures the gain.
+//! zoo and budget grid, and the `planner_sweep` bench measures the gain
+//! (`BENCH_planner_sweep.json`).
 //!
 //! [`PlanService`] plans many requests against one shared cache.
 

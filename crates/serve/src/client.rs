@@ -47,8 +47,12 @@ impl PlanClient {
     /// Send one raw line and read one response line back. The escape
     /// hatch for protocol tests (malformed JSON, etc.).
     pub fn round_trip_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        // One write for line and newline: with Nagle off, a separate
+        // newline write costs the server a second wake-up per request.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.stream.write_all(&framed)?;
         let mut response = String::new();
         self.reader.read_line(&mut response)?;
         if response.is_empty() {

@@ -1,58 +1,47 @@
-//! `galvatron-serve`: the plan-serving daemon.
+//! `galvatron-serve`: the building blocks of plan serving.
 //!
 //! Galvatron's planner answers a question — *how should this model run on
 //! this cluster under this budget?* — whose inputs recur constantly in a
 //! fleet: every job launcher, autoscaler probe and capacity study asks
-//! about the same handful of models and topologies. This crate turns the
-//! batch [`PlanService`](galvatron_planner::PlanService) into a long-lived
-//! daemon that exploits that recurrence three ways:
+//! about the same handful of models and topologies. This crate holds the
+//! parts of a plan server that do not depend on how connections are
+//! handled; the server itself (and the `galvatron-served` daemon) is
+//! `galvatron-fleet`'s replica, which a single daemon runs as a fleet of
+//! one.
 //!
+//! * **Wire protocol** ([`protocol`]) — JSON lines over TCP, one request
+//!   per line, one response per line. Plan answers are *stable bytes*:
+//!   byte-identical whether computed, cached or coalesced.
 //! * **Response caching** ([`ResponseCache`]) — completed answers live in
 //!   a byte-budget LRU keyed on `(model JSON, topology fingerprint,
-//!   budget)`, optionally persisted to disk so a restarted daemon starts
+//!   budget)`, optionally persisted to disk so a restarted server starts
 //!   warm. The topology component relies on the stability contract of
 //!   [`ClusterTopology::fingerprint`](galvatron_cluster::ClusterTopology::fingerprint).
-//! * **Single-flight coalescing** ([`SingleFlight`]) — concurrent
-//!   identical requests share one computation; a thundering herd of `N`
-//!   costs one DP run and one queue slot.
 //! * **Deterministic load shedding** ([`BoundedQueue`]) — at most
 //!   `queue_capacity` distinct computations wait; beyond that, requests
 //!   are refused *immediately* with a structured `Overloaded` error and a
 //!   `retry_after_ms` hint instead of queueing without bound.
-//!
-//! The wire protocol ([`protocol`]) is JSON lines over TCP — one request
-//! per line, one response per line — implemented on `std::net` with a
-//! small thread pool; there is no async runtime and no HTTP framework
-//! (a minimal `GET /metrics` responder serves Prometheus scrapes). Plan
-//! answers are *stable bytes*: byte-identical whether computed, cached or
-//! coalesced, which the conformance tests check against direct
-//! `PlanService` calls.
+//! * **Client** ([`PlanClient`]) — a blocking JSONL client over
+//!   `std::net`.
 //!
 //! ```no_run
-//! use galvatron_obs::Obs;
-//! use galvatron_serve::{PlanClient, PlanServer, ServeConfig};
+//! use galvatron_serve::PlanClient;
 //!
-//! let handle = PlanServer::start(ServeConfig::default(), Obs::noop()).unwrap();
-//! let mut client = PlanClient::connect(handle.addr()).unwrap();
+//! let mut client = PlanClient::connect("127.0.0.1:7070".parse().unwrap()).unwrap();
 //! assert_eq!(client.ping().unwrap(), galvatron_serve::PROTOCOL_VERSION);
-//! handle.shutdown();
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod client;
-pub mod flight;
 pub mod protocol;
 pub mod queue;
-pub mod server;
 
 pub use cache::{CacheStats, PlanKey, ResponseCache};
 pub use client::PlanClient;
-pub use flight::{Flight, Role, SingleFlight};
 pub use protocol::{
     CacheEntry, ErrorCode, FleetCheckReport, PlanBody, RequestBody, ServeError, ServeStats,
     ServedPlan, WireRequest, WireResponse, WireResult, WireTraceContext, PROTOCOL_VERSION,
 };
 pub use queue::{BoundedQueue, PushError};
-pub use server::{PlanServer, ServeConfig, ServerHandle};

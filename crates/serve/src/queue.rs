@@ -1,7 +1,7 @@
 //! A bounded MPMC job queue over `std` primitives.
 //!
-//! The daemon's central admission-control point: connection threads
-//! [`try_push`](BoundedQueue::try_push) and **never block** — a full queue
+//! The server's central admission-control point: admission
+//! [`try_push`](BoundedQueue::try_push)es and **never blocks** — a full queue
 //! is an immediate, deterministic load-shed decision, not a stall — while
 //! worker threads block in [`pop`](BoundedQueue::pop) with a timeout so
 //! they can notice shutdown. Capacity is fixed at construction; there is
@@ -28,8 +28,8 @@ struct Inner<T> {
     paused: bool,
 }
 
-/// A fixed-capacity FIFO shared between connection threads (producers) and
-/// the worker pool (consumers).
+/// A fixed-capacity FIFO shared between admission (the producer) and the
+/// worker pool (consumers).
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,

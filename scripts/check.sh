@@ -32,6 +32,11 @@ fi
 echo "==> cargo build --all-features"
 cargo build "${CARGO_FLAGS[@]}" --workspace --all-features
 
+echo "==> benchmark build (perfbench is a workspace of its own over crates/*)"
+# A public-API change that breaks the benchmark must fail here, not only in
+# the benchmark pipeline.
+cargo build "${CARGO_FLAGS[@]}" --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --doc"
 cargo test "${CARGO_FLAGS[@]}" --workspace --doc -q
 
@@ -72,8 +77,9 @@ cargo test "${CARGO_FLAGS[@]}" -p galvatron-obs -q
 cargo test "${CARGO_FLAGS[@]}" -p galvatron-fleet --test trace_determinism -q
 
 echo "==> galvatron-served loopback smoke (bind, announce, quit)"
-# The daemon prints its bound address on stdout and exits on stdin EOF.
-addr=$(echo quit | cargo run "${CARGO_FLAGS[@]}" --release -q -p galvatron-serve --bin galvatron-served -- --addr 127.0.0.1:0 --workers 1 2>/dev/null)
+# The daemon (a one-replica fleet) prints its bound address on stdout and
+# exits on stdin EOF.
+addr=$(echo quit | cargo run "${CARGO_FLAGS[@]}" --release -q -p galvatron-fleet --bin galvatron-served -- --addr 127.0.0.1:0 --workers 1 2>/dev/null)
 case "$addr" in
     127.0.0.1:*) ;;
     *) echo "galvatron-served did not announce a bound address (got: $addr)" >&2; exit 1 ;;

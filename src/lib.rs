@@ -34,15 +34,16 @@
 //! * [`elastic`] — the elastic training runtime: deterministic fault
 //!   injection, heartbeat/anomaly detection, online re-planning on the
 //!   surviving topology, and state-migration costing.
-//! * [`serve`] — the plan-serving daemon: JSON-lines TCP protocol,
-//!   single-flight coalescing of identical in-flight requests, a
-//!   byte-budget LRU response cache with warm restarts, and deterministic
-//!   load shedding under a bounded queue.
-//! * [`fleet`] — the replicated serving fleet: an event-driven connection
-//!   layer (thousands of idle connections per replica without a thread
-//!   each), consistent-hash request routing with failover, gossip cache
-//!   replication between ring neighbors, and warm-join from peer
-//!   snapshots.
+//! * [`serve`] — plan-serving building blocks: the JSON-lines TCP
+//!   protocol, a byte-budget LRU response cache with warm restarts, the
+//!   bounded admission queue behind deterministic load shedding, and the
+//!   client.
+//! * [`fleet`] — the plan server and its fleet: an event-driven replica
+//!   (thousands of idle connections without a thread each, single-flight
+//!   coalescing of identical in-flight requests; the `galvatron-served`
+//!   daemon is one replica), consistent-hash request routing with
+//!   failover, gossip cache replication between ring neighbors, and
+//!   warm-join from peer snapshots.
 //! * [`hetero`] — heterogeneous-cluster planning: priced device types and
 //!   mixed A100/RTX-TITAN islands, a dual objective (iteration time vs
 //!   **throughput per dollar** over island-aligned deployments), and the
@@ -113,7 +114,7 @@ pub mod prelude {
     pub use galvatron_planner::{
         DpCache, ParallelPlanner, PlanRequest, PlanResponse, PlanService, PlannerConfig,
     };
-    pub use galvatron_serve::{PlanClient, PlanServer, ServeConfig, ServeStats};
+    pub use galvatron_serve::{PlanClient, ServeStats};
     pub use galvatron_sim::{ExecutionReport, Simulator, SimulatorConfig};
     pub use galvatron_strategy::{
         DecisionTreeBuilder, Paradigm, ParallelPlan, StrategyAxis, StrategySet,

@@ -11,17 +11,19 @@
 //!   requests beyond `Q` are refused, with a structured `Overloaded`
 //!   error, while the daemon keeps answering control traffic.
 //!
+//! The daemon is a one-replica fleet ([`FleetReplica`] with no peers).
 //! Worker pause/resume makes the concurrency deterministic: admission
-//! control (caching, coalescing, shedding) runs in connection threads and
-//! keeps working while the compute pool is frozen, so tests can build an
-//! exact backlog or herd before releasing it.
+//! control (caching, coalescing, shedding) runs on the replica's event
+//! loop and keeps working while the compute pool is frozen, so tests can
+//! build an exact backlog or herd before releasing it.
 
 use galvatron::cluster::{rtx_titan_node, GIB};
 use galvatron::core::OptimizerConfig;
+use galvatron::fleet::{FleetReplica, ReplicaConfig};
 use galvatron::model::{BertConfig, ModelSpec};
 use galvatron::obs::Obs;
 use galvatron::planner::{PlanRequest, PlanService, PlannerConfig};
-use galvatron::serve::{ErrorCode, PlanClient, PlanServer, ServeConfig, ServedPlan, WireResult};
+use galvatron::serve::{ErrorCode, PlanClient, ServedPlan, WireResult};
 use std::time::{Duration, Instant};
 
 fn quick_planner() -> PlannerConfig {
@@ -63,13 +65,13 @@ fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) {
 /// from cache — still byte-identical.
 #[test]
 fn loopback_herd_matches_direct_service_with_single_flight() {
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 2,
         queue_capacity: 16,
         planner: quick_planner(),
-        ..ServeConfig::default()
+        ..ReplicaConfig::default()
     };
-    let handle = PlanServer::start(config, Obs::noop()).expect("bind loopback");
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
     let addr = handle.addr();
     let topology = rtx_titan_node(8);
 
@@ -170,10 +172,10 @@ fn loopback_herd_matches_direct_service_with_single_flight() {
     // metric carries the per-replica `instance` label.
     let text = client.metrics().expect("metrics over JSONL");
     assert!(text.contains("serve_requests_total"));
-    assert!(text.contains("serve_coalesced_total{instance=\"serve-0\"} 6"));
+    assert!(text.contains("serve_coalesced_total{instance=\"replica-0\"} 6"));
     let http = http_get_metrics(addr);
     assert!(http.starts_with("HTTP/1.1 200 OK"));
-    assert!(http.contains("serve_computed_total{instance=\"serve-0\"} 3"));
+    assert!(http.contains("serve_computed_total{instance=\"replica-0\"} 3"));
 
     handle.shutdown();
 }
@@ -184,13 +186,13 @@ fn loopback_herd_matches_direct_service_with_single_flight() {
 #[test]
 fn load_shedding_is_deterministic_and_server_stays_responsive() {
     let queue_capacity = 3;
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 1,
         queue_capacity,
         planner: quick_planner(),
-        ..ServeConfig::default()
+        ..ReplicaConfig::default()
     };
-    let handle = PlanServer::start(config, Obs::noop()).expect("bind loopback");
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
     let addr = handle.addr();
     let topology = rtx_titan_node(8);
 
@@ -263,13 +265,13 @@ fn load_shedding_is_deterministic_and_server_stays_responsive() {
 /// dropped connection — and the daemon stays healthy afterwards.
 #[test]
 fn error_paths_produce_structured_wire_errors() {
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 1,
         queue_capacity: 4,
         planner: quick_planner(),
-        ..ServeConfig::default()
+        ..ReplicaConfig::default()
     };
-    let handle = PlanServer::start(config, Obs::noop()).expect("bind loopback");
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
     let mut client = PlanClient::connect(handle.addr()).expect("connect");
     let topology = rtx_titan_node(8);
 
@@ -343,6 +345,66 @@ fn error_paths_produce_structured_wire_errors() {
     handle.shutdown();
 }
 
+/// A request that panics inside the planner (a hidden size whose products
+/// overflow the activation arithmetic under overflow checks) is answered
+/// with a structured `PlannerError`, and the replica's only worker keeps
+/// serving: the next valid request is computed.
+#[test]
+fn planner_panic_is_answered_and_the_worker_survives() {
+    let config = ReplicaConfig {
+        workers: 1,
+        queue_capacity: 1,
+        planner: quick_planner(),
+        ..ReplicaConfig::default()
+    };
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
+    let mut client = PlanClient::connect(handle.addr()).expect("connect");
+    let topology = rtx_titan_node(8);
+
+    let request = serde_json::to_string(&galvatron::serve::WireRequest {
+        id: 7,
+        name: "overflow".to_string(),
+        trace: None,
+        body: galvatron::serve::RequestBody::Plan(galvatron::serve::PlanBody {
+            model: bert(2, "overflow"),
+            topology: topology.clone(),
+            budget_bytes: 8 * GIB,
+        }),
+    })
+    .unwrap();
+    let overflowing = request.replace("\"hidden\":512", &format!("\"hidden\":{}", u64::MAX));
+    assert_ne!(request, overflowing, "tampering must hit the hidden size");
+    let raw = client.round_trip_raw(&overflowing).expect("answer");
+    let response: galvatron::serve::WireResponse = serde_json::from_str(&raw).expect("parses");
+    assert_eq!(response.id, 7);
+    // Without overflow checks the arithmetic wraps instead of panicking,
+    // and the verdict is whatever the wrapped numbers say.
+    if cfg!(debug_assertions) {
+        match &response.result {
+            WireResult::Error(e) => assert_eq!(e.code, ErrorCode::PlannerError, "{e:?}"),
+            other => panic!("expected PlannerError, got {other:?}"),
+        }
+        assert!(
+            client
+                .metrics()
+                .expect("metrics")
+                .contains("serve_planner_panics_total{instance=\"replica-0\"} 1"),
+            "the panic must be counted"
+        );
+    }
+
+    let response = client
+        .plan("ok", bert(2, "tiny"), topology, 8 * GIB)
+        .expect("the worker survived the panic");
+    assert!(
+        matches!(response.result, WireResult::Plan(_)),
+        "{:?}",
+        response.result
+    );
+    assert_eq!(handle.stats().computed, 2);
+    handle.shutdown();
+}
+
 /// A daemon restarted with a persisted cache answers its first request
 /// from cache — zero computations — but ignores snapshots written under a
 /// different planner configuration.
@@ -354,16 +416,16 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
     let topology = rtx_titan_node(8);
     let model = bert(2, "tiny");
 
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 1,
         queue_capacity: 4,
         persist_path: Some(snapshot.clone()),
         planner: quick_planner(),
-        ..ServeConfig::default()
+        ..ReplicaConfig::default()
     };
 
     // Cold daemon: computes, then persists at shutdown.
-    let cold = PlanServer::start(config.clone(), Obs::noop()).expect("bind");
+    let cold = FleetReplica::start(config.clone(), Obs::noop()).expect("bind");
     let mut client = PlanClient::connect(cold.addr()).expect("connect");
     let first = client
         .plan("tiny@8g", model.clone(), topology.clone(), 8 * GIB)
@@ -376,7 +438,7 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
 
     // Warm restart, same config: first request is a cache hit,
     // byte-identical, zero computations.
-    let warm = PlanServer::start(config.clone(), Obs::noop()).expect("bind");
+    let warm = FleetReplica::start(config.clone(), Obs::noop()).expect("bind");
     let mut client = PlanClient::connect(warm.addr()).expect("connect");
     let again = client
         .plan("tiny@8g", model.clone(), topology.clone(), 8 * GIB)
@@ -397,7 +459,7 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
     // served stale.
     let mut reconfigured = config;
     reconfigured.planner.optimizer.max_batch = 4;
-    let fresh = PlanServer::start(reconfigured, Obs::noop()).expect("bind");
+    let fresh = FleetReplica::start(reconfigured, Obs::noop()).expect("bind");
     let mut client = PlanClient::connect(fresh.addr()).expect("connect");
     let recomputed = client
         .plan("tiny@8g", model, topology, 8 * GIB)
@@ -418,13 +480,13 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
 /// with a structured `ShuttingDown` error — never a dropped socket.
 #[test]
 fn shutdown_drains_in_flight_and_answers_queued_with_shutting_down() {
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 1,
         queue_capacity: 4,
         planner: quick_planner(),
-        ..ServeConfig::default()
+        ..ReplicaConfig::default()
     };
-    let handle = PlanServer::start(config, Obs::noop()).expect("bind loopback");
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
     let addr = handle.addr();
     let topology = rtx_titan_node(8);
 
@@ -481,19 +543,22 @@ fn shutdown_drains_in_flight_and_answers_queued_with_shutting_down() {
 /// unknown paths get a 404 instead of a dropped connection.
 #[test]
 fn healthz_reports_instance_and_unknown_paths_get_404() {
-    let config = ServeConfig {
+    let config = ReplicaConfig {
         workers: 1,
         queue_capacity: 4,
         planner: quick_planner(),
-        instance: "serve-az1".to_string(),
-        ..ServeConfig::default()
+        instance: Some("serve-az1".to_string()),
+        ..ReplicaConfig::default()
     };
-    let handle = PlanServer::start(config, Obs::noop()).expect("bind loopback");
+    let handle = FleetReplica::start(config, Obs::noop()).expect("bind loopback");
     let addr = handle.addr();
 
     let health = http_get(addr, "/healthz");
     assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
-    assert!(health.contains("ok instance=serve-az1"), "{health}");
+    assert!(
+        health.contains("\"status\":\"ok\",\"instance\":\"serve-az1\""),
+        "{health}"
+    );
 
     let missing = http_get(addr, "/nope");
     assert!(missing.starts_with("HTTP/1.1 404 Not Found"), "{missing}");
