@@ -15,6 +15,13 @@
 //! the Table-4 A100×64 testbed (`serial-64gpu-100l` vs
 //! `arena-cold-64gpu-100l`) to pin cold-path behaviour at depth and scale.
 //!
+//! An ablation lane measures what each reuse layer earns: the cold sweep,
+//! the warm sweep and the scale point are re-run with exactly one planner
+//! knob off — `use_cache` (the stage-DP memo cache), `incremental` (the
+//! kernel intern table and feasibility ledger) or `prune` (the
+//! throughput-bound gate) — as rows suffixed `/no-cache`, `/no-intern` and
+//! `/no-prune`, each held to the same bit-identity check.
+//!
 //! Every point's plan is asserted byte-identical to the serial baseline
 //! (the bench *fails* on divergence — this is the CI gate `scripts/check.sh`
 //! relies on), a Table-4 spot check pins the 64-GPU path too, and the
@@ -28,9 +35,9 @@
 
 use criterion::{criterion_group, Criterion};
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
-use galvatron_cluster::{TestbedPreset, GIB};
+use galvatron_cluster::{ClusterTopology, TestbedPreset, GIB};
 use galvatron_core::{GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig};
-use galvatron_model::PaperModel;
+use galvatron_model::{ModelSpec, PaperModel};
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use serde::Serialize;
 use std::hint::black_box;
@@ -52,6 +59,16 @@ const SERIAL_REPS: usize = 2;
 const COLD_REPS: usize = 3;
 const WARM_REPS: usize = 3;
 
+/// The production planner (every reuse layer on) and the three ablations,
+/// each with exactly one layer off: `(row suffix, use_cache, incremental,
+/// prune)`.
+const VARIANTS: [(&str, bool, bool, bool); 4] = [
+    ("", true, true, true),
+    ("/no-cache", false, true, true),
+    ("/no-intern", true, false, true),
+    ("/no-prune", true, true, false),
+];
+
 fn config() -> OptimizerConfig {
     // max_batch 32 keeps the smoke sweep quick; the reuse structure is the
     // same at the paper's 512 cap, just with more batch points.
@@ -61,27 +78,94 @@ fn config() -> OptimizerConfig {
     }
 }
 
-fn planner() -> ParallelPlanner {
+fn planner(use_cache: bool, incremental: bool, prune: bool) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer: config(),
         jobs: 1,
-        use_cache: true,
-        prune: true,
-        incremental: true,
+        use_cache,
+        prune,
+        incremental,
         cache_max_entries: None,
         intern_max_entries: None,
     })
 }
 
-/// All Table-1 points, in study order.
-fn sweep_points() -> Vec<(PaperModel, u64)> {
-    let mut points = Vec::new();
-    for &budget in &BUDGETS_GIB {
-        for model in PaperModel::TABLE1 {
-            points.push((model, budget));
+/// One study: a testbed and its `(label, model, budget GiB)` points, in
+/// study order.
+struct Study {
+    topology: ClusterTopology,
+    points: Vec<(String, ModelSpec, u64)>,
+}
+
+impl Study {
+    /// Plan every point with the serial optimizer; returns the min-of-N
+    /// seconds and the first repetition's outcomes.
+    fn serial(&self) -> (f64, Vec<Option<OptimizeOutcome>>) {
+        let serial = GalvatronOptimizer::new(config());
+        let mut best = f64::INFINITY;
+        let mut baseline = Vec::new();
+        for rep in 0..SERIAL_REPS {
+            let started = Instant::now();
+            let outcomes: Vec<Option<OptimizeOutcome>> = self
+                .points
+                .iter()
+                .map(|(_, spec, budget)| {
+                    serial
+                        .optimize(spec, &self.topology, budget * GIB)
+                        .expect("well-formed testbed")
+                })
+                .collect();
+            best = best.min(started.elapsed().as_secs_f64());
+            if rep == 0 {
+                baseline = outcomes;
+            }
         }
+        (best, baseline)
     }
-    points
+
+    /// One timed planner pass against `reuse`, checked point by point
+    /// against the serial `baseline`.
+    fn pass(
+        &self,
+        planner: &ParallelPlanner,
+        reuse: &Reuse,
+        baseline: &[Option<OptimizeOutcome>],
+        what: &str,
+    ) -> (f64, Vec<Option<OptimizeOutcome>>) {
+        let started = Instant::now();
+        let outcomes: Vec<Option<OptimizeOutcome>> = self
+            .points
+            .iter()
+            .map(|(_, spec, budget)| {
+                planner
+                    .optimize_with_reuse(
+                        spec,
+                        &self.topology,
+                        budget * GIB,
+                        reuse.0.as_ref(),
+                        reuse.1.as_ref(),
+                    )
+                    .expect("well-formed testbed")
+            })
+            .collect();
+        let seconds = started.elapsed().as_secs_f64();
+        for ((label, _, budget), (outcome, reference)) in
+            self.points.iter().zip(outcomes.iter().zip(baseline))
+        {
+            assert_same(reference, outcome, &format!("{what}: {label} @ {budget}G"));
+        }
+        (seconds, outcomes)
+    }
+}
+
+/// The reuse structures one planner variant searches against.
+type Reuse = (Option<DpCache>, Option<IncrementalEngine>);
+
+fn fresh_reuse(use_cache: bool, incremental: bool) -> Reuse {
+    (
+        use_cache.then(DpCache::new),
+        incremental.then(IncrementalEngine::new),
+    )
 }
 
 fn assert_same(
@@ -125,9 +209,43 @@ struct SweepRow {
     intern_hits: usize,
     intern_misses: usize,
     ledger_hits: usize,
-    warm_start_prunes: usize,
     arena_solves: usize,
     dominated_pruned: usize,
+    pruned_candidates: usize,
+}
+
+impl SweepRow {
+    /// A row whose reuse counters sum the `SearchStats` of one pass's
+    /// outcomes (every point of both studies is feasible, so no search's
+    /// counters are lost with a `None`).
+    fn new(
+        configuration: String,
+        seconds: f64,
+        serial_seconds: f64,
+        reps: usize,
+        outcomes: &[Option<OptimizeOutcome>],
+    ) -> SweepRow {
+        let mut row = SweepRow {
+            configuration,
+            seconds,
+            speedup_vs_serial: serial_seconds / seconds,
+            reps,
+            points: outcomes.len(),
+            ..SweepRow::default()
+        };
+        for stats in outcomes.iter().flatten().map(|o| &o.stats) {
+            row.feasible_points += 1;
+            row.cache_hits += stats.cache_hits;
+            row.cache_misses += stats.cache_misses;
+            row.intern_hits += stats.intern_hits;
+            row.intern_misses += stats.intern_misses;
+            row.ledger_hits += stats.ledger_hits;
+            row.arena_solves += stats.arena_solves;
+            row.dominated_pruned += stats.dominated_pruned;
+            row.pruned_candidates += stats.pruned_candidates;
+        }
+        row
+    }
 }
 
 #[derive(Debug, Serialize)]
@@ -164,227 +282,136 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-fn run_table1_sweep() {
-    let topology = TestbedPreset::RtxTitan8.topology();
-    let points = sweep_points();
-
-    // Serial baseline: one independent Algorithm-1 search per point,
-    // timed min-of-N.
-    let serial = GalvatronOptimizer::new(config());
-    let mut baseline: Vec<Option<OptimizeOutcome>> = Vec::new();
-    let mut serial_secs = f64::INFINITY;
-    for rep in 0..SERIAL_REPS {
-        let started = Instant::now();
-        let outcomes: Vec<Option<OptimizeOutcome>> = points
-            .iter()
-            .map(|&(model, budget)| {
-                serial
-                    .optimize(&model.spec(), &topology, budget * GIB)
-                    .expect("well-formed testbed")
-            })
-            .collect();
-        serial_secs = serial_secs.min(started.elapsed().as_secs_f64());
-        if rep == 0 {
-            baseline = outcomes;
-        }
-    }
-    let feasible = baseline.iter().filter(|o| o.is_some()).count();
-
-    let planner = planner();
-    let mut rows = vec![SweepRow {
-        configuration: "serial".to_string(),
-        seconds: serial_secs,
-        speedup_vs_serial: 1.0,
-        reps: SERIAL_REPS,
-        points: points.len(),
-        feasible_points: feasible,
-        ..SweepRow::default()
-    }];
-
-    // Cold pass: fresh reuse structures per repetition (each rep is a true
-    // cold start); the last repetition's structures feed the warm pass.
-    let mut cold_secs = f64::INFINITY;
-    let mut cold_row = SweepRow::default();
-    let mut warm_structures = None;
+/// The cold row of `study` for one planner variant (fresh reuse structures
+/// per repetition, min-of-N) and, when `warm_name` is set, the warm row
+/// against the last cold repetition's structures.
+fn variant_rows(
+    study: &Study,
+    baseline: &[Option<OptimizeOutcome>],
+    serial_seconds: f64,
+    (suffix, use_cache, incremental, prune): (&str, bool, bool, bool),
+    cold_name: &str,
+    warm_name: Option<&str>,
+    rows: &mut Vec<SweepRow>,
+) {
+    let planner = planner(use_cache, incremental, prune);
+    let cold_name = format!("{cold_name}{suffix}");
+    let mut cold = (f64::INFINITY, Vec::new());
+    let mut reuse = None;
     for _ in 0..COLD_REPS {
-        let cache = DpCache::new();
-        let engine = IncrementalEngine::new();
-        let started = Instant::now();
-        let outcomes: Vec<Option<OptimizeOutcome>> = points
-            .iter()
-            .map(|&(model, budget)| {
-                planner
-                    .optimize_with_reuse(
-                        &model.spec(),
-                        &topology,
-                        budget * GIB,
-                        Some(&cache),
-                        Some(&engine),
-                    )
-                    .expect("well-formed testbed")
-            })
-            .collect();
-        cold_secs = cold_secs.min(started.elapsed().as_secs_f64());
-        for (i, (outcome, reference)) in outcomes.iter().zip(&baseline).enumerate() {
-            let (model, budget) = points[i];
-            assert_same(
-                reference,
-                outcome,
-                &format!("incremental-cold: {} @ {budget}G", model.name()),
-            );
-        }
-        let cache_delta = cache.counters();
-        let engine_delta = engine.counters();
-        cold_row = SweepRow {
-            configuration: "incremental-cold".to_string(),
-            seconds: cold_secs,
-            speedup_vs_serial: serial_secs / cold_secs,
-            reps: COLD_REPS,
-            points: points.len(),
-            feasible_points: outcomes.iter().filter(|o| o.is_some()).count(),
-            cache_hits: cache_delta.hits,
-            cache_misses: cache_delta.misses,
-            intern_hits: engine_delta.intern_hits,
-            intern_misses: engine_delta.intern_misses,
-            ledger_hits: engine_delta.ledger_hits,
-            warm_start_prunes: engine_delta.warm_start_prunes,
-            arena_solves: engine_delta.arena_solves,
-            dominated_pruned: engine_delta.dominated_pruned,
-        };
-        warm_structures = Some((cache, engine));
+        let fresh = fresh_reuse(use_cache, incremental);
+        let (seconds, outcomes) = study.pass(&planner, &fresh, baseline, &cold_name);
+        cold.0 = cold.0.min(seconds);
+        cold.1 = outcomes;
+        reuse = Some(fresh);
     }
-    rows.push(cold_row);
-
-    // Warm pass against the retained structures.
-    let (cache, engine) = warm_structures.expect("cold pass ran");
-    let mut warm_secs = f64::INFINITY;
-    let mut warm_row = SweepRow::default();
+    let reuse = reuse.expect("cold repetitions ran");
+    rows.push(SweepRow::new(
+        cold_name,
+        cold.0,
+        serial_seconds,
+        COLD_REPS,
+        &cold.1,
+    ));
+    let Some(warm_name) = warm_name else {
+        return;
+    };
+    let warm_name = format!("{warm_name}{suffix}");
+    let mut warm = (f64::INFINITY, Vec::new());
     for rep in 0..WARM_REPS {
-        let cache_before = cache.counters();
-        let engine_before = engine.counters();
-        let started = Instant::now();
-        let outcomes: Vec<Option<OptimizeOutcome>> = points
-            .iter()
-            .map(|&(model, budget)| {
-                planner
-                    .optimize_with_reuse(
-                        &model.spec(),
-                        &topology,
-                        budget * GIB,
-                        Some(&cache),
-                        Some(&engine),
-                    )
-                    .expect("well-formed testbed")
-            })
-            .collect();
-        warm_secs = warm_secs.min(started.elapsed().as_secs_f64());
-        for (i, (outcome, reference)) in outcomes.iter().zip(&baseline).enumerate() {
-            let (model, budget) = points[i];
-            assert_same(
-                reference,
-                outcome,
-                &format!("incremental-warm: {} @ {budget}G", model.name()),
-            );
-        }
+        let (seconds, outcomes) = study.pass(&planner, &reuse, baseline, &warm_name);
+        warm.0 = warm.0.min(seconds);
         if rep == 0 {
-            let cache_delta = cache.counters().since(&cache_before);
-            let engine_delta = engine.counters().since(&engine_before);
-            warm_row = SweepRow {
-                configuration: "incremental-warm".to_string(),
-                seconds: warm_secs,
-                speedup_vs_serial: serial_secs / warm_secs,
-                reps: WARM_REPS,
-                points: points.len(),
-                feasible_points: outcomes.iter().filter(|o| o.is_some()).count(),
-                cache_hits: cache_delta.hits,
-                cache_misses: cache_delta.misses,
-                intern_hits: engine_delta.intern_hits,
-                intern_misses: engine_delta.intern_misses,
-                ledger_hits: engine_delta.ledger_hits,
-                warm_start_prunes: engine_delta.warm_start_prunes,
-                arena_solves: engine_delta.arena_solves,
-                dominated_pruned: engine_delta.dominated_pruned,
-            };
+            warm.1 = outcomes;
         }
     }
-    warm_row.seconds = warm_secs;
-    warm_row.speedup_vs_serial = serial_secs / warm_secs;
-    rows.push(warm_row);
+    rows.push(SweepRow::new(
+        warm_name,
+        warm.0,
+        serial_seconds,
+        WARM_REPS,
+        &warm.1,
+    ));
+}
 
-    // The 64-GPU/100-layer cold scaling point: one deep model on the
-    // Table-4 A100×64 testbed, serial vs a true cold planner start.
-    let a100 = TestbedPreset::A100x64.topology();
+fn run_table1_sweep() {
+    let table1 = Study {
+        topology: TestbedPreset::RtxTitan8.topology(),
+        points: BUDGETS_GIB
+            .iter()
+            .flat_map(|&budget| {
+                PaperModel::TABLE1
+                    .iter()
+                    .map(move |m| (m.name().to_string(), m.spec(), budget))
+            })
+            .collect(),
+    };
     let scale_model = scale_point_model();
-    let mut scale_serial_secs = f64::INFINITY;
-    let mut scale_baseline = None;
-    for rep in 0..SERIAL_REPS {
-        let started = Instant::now();
-        let outcome = serial
-            .optimize(&scale_model, &a100, 16 * GIB)
-            .expect("well-formed testbed");
-        scale_serial_secs = scale_serial_secs.min(started.elapsed().as_secs_f64());
-        if rep == 0 {
-            scale_baseline = Some(outcome);
-        }
-    }
-    let scale_baseline = scale_baseline.expect("serial scale pass ran");
-    rows.push(SweepRow {
-        configuration: "serial-64gpu-100l".to_string(),
-        seconds: scale_serial_secs,
-        speedup_vs_serial: 1.0,
-        reps: SERIAL_REPS,
-        points: 1,
-        feasible_points: scale_baseline.is_some() as usize,
-        ..SweepRow::default()
-    });
-    let mut scale_cold_secs = f64::INFINITY;
-    let mut scale_row = SweepRow::default();
-    for _ in 0..COLD_REPS {
-        let cache = DpCache::new();
-        let engine = IncrementalEngine::new();
-        let started = Instant::now();
-        let outcome = planner
-            .optimize_with_reuse(&scale_model, &a100, 16 * GIB, Some(&cache), Some(&engine))
-            .expect("well-formed testbed");
-        scale_cold_secs = scale_cold_secs.min(started.elapsed().as_secs_f64());
-        assert_same(
-            &scale_baseline,
-            &outcome,
-            &format!("arena-cold-64gpu-100l: {} @ 16G", scale_model.name),
+    let scale = Study {
+        topology: TestbedPreset::A100x64.topology(),
+        points: vec![(scale_model.name.clone(), scale_model.clone(), 16)],
+    };
+
+    let (serial_secs, baseline) = table1.serial();
+    let (scale_serial_secs, scale_baseline) = scale.serial();
+    // The serial optimizer reports no reuse counters, so its rows hold
+    // zeros there.
+    let mut rows = vec![SweepRow::new(
+        "serial".to_string(),
+        serial_secs,
+        serial_secs,
+        SERIAL_REPS,
+        &baseline,
+    )];
+    for variant in VARIANTS {
+        variant_rows(
+            &table1,
+            &baseline,
+            serial_secs,
+            variant,
+            "incremental-cold",
+            Some("incremental-warm"),
+            &mut rows,
         );
-        let cache_delta = cache.counters();
-        let engine_delta = engine.counters();
-        scale_row = SweepRow {
-            configuration: "arena-cold-64gpu-100l".to_string(),
-            seconds: scale_cold_secs,
-            speedup_vs_serial: scale_serial_secs / scale_cold_secs,
-            reps: COLD_REPS,
-            points: 1,
-            feasible_points: outcome.is_some() as usize,
-            cache_hits: cache_delta.hits,
-            cache_misses: cache_delta.misses,
-            intern_hits: engine_delta.intern_hits,
-            intern_misses: engine_delta.intern_misses,
-            ledger_hits: engine_delta.ledger_hits,
-            warm_start_prunes: engine_delta.warm_start_prunes,
-            arena_solves: engine_delta.arena_solves,
-            dominated_pruned: engine_delta.dominated_pruned,
-        };
     }
-    rows.push(scale_row);
+    rows.push(SweepRow::new(
+        "serial-64gpu-100l".to_string(),
+        scale_serial_secs,
+        scale_serial_secs,
+        SERIAL_REPS,
+        &scale_baseline,
+    ));
+    for variant in VARIANTS {
+        variant_rows(
+            &scale,
+            &scale_baseline,
+            scale_serial_secs,
+            variant,
+            "arena-cold-64gpu-100l",
+            None,
+            &mut rows,
+        );
+    }
 
     // Table-4 spot check: the 64-GPU A100 path must agree with the serial
     // optimizer through the incremental stack too (equality only — the
     // timing study is above).
-    let cache = DpCache::new();
-    let engine = IncrementalEngine::new();
+    let serial = GalvatronOptimizer::new(config());
+    let spot = planner(true, true, true);
+    let reuse = fresh_reuse(true, true);
     for model in galvatron_bench::paper::TABLE4_MODELS {
         let spec = model.spec();
         let reference = serial
-            .optimize(&spec, &a100, 16 * GIB)
+            .optimize(&spec, &scale.topology, 16 * GIB)
             .expect("well-formed");
-        let candidate = planner
-            .optimize_with_reuse(&spec, &a100, 16 * GIB, Some(&cache), Some(&engine))
+        let candidate = spot
+            .optimize_with_reuse(
+                &spec,
+                &scale.topology,
+                16 * GIB,
+                reuse.0.as_ref(),
+                reuse.1.as_ref(),
+            )
             .expect("well-formed");
         assert_same(
             &reference,
@@ -396,12 +423,12 @@ fn run_table1_sweep() {
     println!(
         "\nplanner_sweep: Table-1 study ({} points, serial {serial_secs:.3}s) + \
          64-GPU/{SCALE_POINT_LAYERS}-layer scale point (serial {scale_serial_secs:.3}s)",
-        points.len()
+        table1.points.len()
     );
     for row in &rows {
         println!(
-            "  {:<21} {:.3}s  ({:.2}x; cache {}h/{}m, intern {}h/{}m, {} ledger hits, \
-             {} arena solves, {} dominated)",
+            "  {:<32} {:.3}s  ({:.2}x; cache {}h/{}m, intern {}h/{}m, {} ledger hits, \
+             {} arena solves, {} dominated, {} pruned)",
             row.configuration,
             row.seconds,
             row.speedup_vs_serial,
@@ -412,6 +439,7 @@ fn run_table1_sweep() {
             row.ledger_hits,
             row.arena_solves,
             row.dominated_pruned,
+            row.pruned_candidates,
         );
     }
 
@@ -486,7 +514,7 @@ fn bench_sweep_point(c: &mut Criterion) {
         })
     });
 
-    let planner = planner();
+    let planner = planner(true, true, true);
     let cache = DpCache::new();
     let engine = IncrementalEngine::new();
     planner

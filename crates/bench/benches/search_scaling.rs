@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use galvatron_cluster::{rtx_titan_node, GIB, MIB};
-use galvatron_core::{dp_search, GalvatronOptimizer, OptimizerConfig};
+use galvatron_core::{reference, DirectCosts, GalvatronOptimizer, OptimizerConfig, StageDpQuery};
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::{BertConfig, ModelSpec};
 use galvatron_strategy::{DecisionTreeBuilder, Paradigm};
@@ -32,19 +32,8 @@ fn bench_dp_by_layers(c: &mut Criterion) {
     for layers in [8usize, 16, 32, 64] {
         let model = bert(layers);
         group.bench_with_input(BenchmarkId::from_parameter(layers), &model, |b, model| {
-            b.iter(|| {
-                dp_search(
-                    &estimator,
-                    black_box(model),
-                    0..model.n_layers(),
-                    0,
-                    &set,
-                    16,
-                    usable,
-                    32 * MIB,
-                )
-                .unwrap()
-            })
+            let q = StageDpQuery::new(0..model.n_layers(), &set, 16, usable, 32 * MIB);
+            b.iter(|| reference::solve(&estimator, black_box(model), &q, &DirectCosts).unwrap())
         });
     }
     group.finish();
@@ -65,19 +54,8 @@ fn bench_dp_by_budget(c: &mut Criterion) {
             BenchmarkId::from_parameter(budget_gb),
             &usable,
             |b, &usable| {
-                b.iter(|| {
-                    dp_search(
-                        &estimator,
-                        &model,
-                        0..model.n_layers(),
-                        0,
-                        &set,
-                        16,
-                        usable,
-                        32 * MIB,
-                    )
-                    .unwrap()
-                })
+                let q = StageDpQuery::new(0..model.n_layers(), &set, 16, usable, 32 * MIB);
+                b.iter(|| reference::solve(&estimator, &model, &q, &DirectCosts).unwrap())
             },
         );
     }

@@ -10,7 +10,7 @@ use galvatron_bench::{
     jobs_from_args, metrics_out_from_args, resolve_jobs, write_metrics_snapshot,
 };
 use galvatron_cluster::{rtx_titan_node, GIB, MIB};
-use galvatron_core::{dp_search, OptimizerConfig};
+use galvatron_core::{reference, DirectCosts, OptimizerConfig, StageDpQuery};
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::BertConfig;
 use galvatron_obs::{MetricsRegistry, NullSink, Obs};
@@ -66,18 +66,10 @@ fn main() {
         print!("{layers:<8}");
         for budget_gb in [8u32, 12, 16, 20] {
             let usable = topology.usable_budget(budget_gb as u64 * GIB);
+            let q = StageDpQuery::new(0..model.n_layers(), &set, 16, usable, 32 * MIB);
             let started = Instant::now();
-            let _ = dp_search(
-                &estimator,
-                &model,
-                0..model.n_layers(),
-                0,
-                &set,
-                16,
-                usable,
-                32 * MIB,
-            )
-            .expect("search succeeds");
+            let _ =
+                reference::solve(&estimator, &model, &q, &DirectCosts).expect("search succeeds");
             let ms = started.elapsed().as_secs_f64() * 1e3;
             print!(" {ms:>7.1}");
             scale.push(ScalePoint {

@@ -132,10 +132,7 @@ pub fn evaluate_cell_observed(
                     intern_max_entries: None,
                 })
                 .with_obs(obs.clone());
-                match cache {
-                    Some(cache) => planner.optimize_with_cache(model, topology, budget, cache),
-                    None => planner.optimize(model, topology, budget),
-                }
+                planner.optimize_with_reuse(model, topology, budget, cache, None)
             }
             None => {
                 BaselinePlanner::new(topology.clone(), cfg.clone()).plan(strategy, model, budget)

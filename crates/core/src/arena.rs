@@ -1,10 +1,14 @@
-//! The arena DP solver: the Eq. 1 search of [`dp_search_with_provider`]
-//! rebuilt for the cold planning path, bit-identical by construction.
+//! The arena DP solver: the Eq. 1 search of
+//! [`reference::solve`](crate::reference::solve) rebuilt for the planning
+//! hot path, bit-identical by construction.
 //!
-//! [`dp_search_with_provider`](crate::dp::dp_search_with_provider) is the
-//! reference implementation — simple, obviously faithful to Eq. 1, and kept
+//! The reference solver is simple, obviously faithful to Eq. 1, and kept
 //! untouched as the oracle every other path is differenced against. This
-//! module is the production hot path. It computes the exact same
+//! module is the production path — [`ArenaStageDp`] is the one solver the
+//! planner runs, over whichever [`StageCostProvider`] it is handed (the
+//! bound incremental engine's intern table, or
+//! [`DirectCosts`](crate::dp::DirectCosts)). It
+//! computes the exact same
 //! [`DpResult`] (every `f64` bit, every tie-break) while removing the three
 //! dominant costs of a cold solve:
 //!
@@ -64,8 +68,7 @@
 //! this lemma empirically against the reference solver on randomized
 //! instances.
 
-use crate::candidate::{StageDp, StageDpQuery};
-use crate::dp::{DpResult, RecomputeMode, StageCostProvider};
+use crate::dp::{DpResult, RecomputeMode, StageCostProvider, StageDp, StageDpQuery};
 use galvatron_cluster::{ClusterError, DeviceId};
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
@@ -156,33 +159,25 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut DpArena) -> R) -> R {
 /// the dominance prefilter. Uses the same kernel tables (and therefore the
 /// same provider calls) as [`dp_search_arena`]. With
 /// [`RecomputeMode::Off`] decisions coincide with strategies.
-#[allow(clippy::too_many_arguments)]
 pub fn dominance_masks(
     estimator: &CostEstimator,
     model: &ModelSpec,
-    layer_range: Range<usize>,
-    base_device: DeviceId,
-    set: &StrategySet,
-    stage_batch: u64,
-    granularity: u64,
-    micro_batches: usize,
-    act_stash_batch: u64,
-    recompute: RecomputeMode,
+    q: &StageDpQuery<'_>,
     provider: &dyn StageCostProvider,
 ) -> Result<Vec<Vec<bool>>, ClusterError> {
     let mut arena = DpArena::new();
-    let n_dec = set.len() * recompute.planes().len();
+    let n_dec = q.set.len() * q.recompute.planes().len();
     let tables = build_tables(
         estimator,
         model,
-        layer_range,
-        base_device,
-        set,
-        stage_batch,
-        granularity,
-        micro_batches,
-        act_stash_batch,
-        recompute,
+        q.layers(),
+        q.base_device,
+        q.set,
+        q.stage_batch,
+        q.granularity,
+        q.micro_batches,
+        q.act_stash_batch,
+        q.recompute,
         provider,
         &mut arena,
     )?;
@@ -375,12 +370,11 @@ fn build_tables(
     Ok(Some(Tables { n_layers, reserve }))
 }
 
-/// The arena fast path for
-/// [`dp_search_with_provider`](crate::dp::dp_search_with_provider) and its
-/// recompute-enabled generalization
-/// [`dp_search_with_recompute`](crate::dp::dp_search_with_recompute): same
-/// inputs, same provider contract, bit-identical output. See the module
-/// docs for why the answer cannot differ.
+/// The arena fast path for [`reference::solve`](crate::reference::solve),
+/// with the query's fields spelled out: same inputs, same provider
+/// contract, bit-identical output. See the module docs for why the answer
+/// cannot differ. [`ArenaStageDp`] runs it per query on the thread-local
+/// arena.
 #[allow(clippy::too_many_arguments)]
 pub fn dp_search_arena(
     estimator: &CostEstimator,
@@ -639,21 +633,25 @@ pub fn dp_search_arena(
     }))
 }
 
-/// The arena-backed [`StageDp`]: every query runs [`dp_search_arena`]
-/// through the thread-local scratch with [`DirectCosts`] kernels. This is
-/// the planner's engine-free fast path; pair it with the incremental
-/// engine via [`BoundIncrementalDp`](crate::BoundIncrementalDp) for kernel
-/// interning on top.
-#[derive(Debug, Default)]
-pub struct ArenaStageDp {
+/// The production [`StageDp`]: every query runs [`dp_search_arena`] on the
+/// thread-local scratch, with kernels from the provider it was built over —
+/// the planner hands it the bound incremental engine (interned kernels) or
+/// [`DirectCosts`](crate::dp::DirectCosts). Counts its solves and the
+/// dominance prefilter's removed slots.
+pub struct ArenaStageDp<'p> {
+    provider: &'p (dyn StageCostProvider + Sync),
     solves: AtomicUsize,
     dominated: AtomicUsize,
 }
 
-impl ArenaStageDp {
-    /// A fresh instance with zeroed counters.
-    pub fn new() -> Self {
-        ArenaStageDp::default()
+impl<'p> ArenaStageDp<'p> {
+    /// A solver over `provider`'s kernels, with zeroed counters.
+    pub fn new(provider: &'p (dyn StageCostProvider + Sync)) -> Self {
+        ArenaStageDp {
+            provider,
+            solves: AtomicUsize::new(0),
+            dominated: AtomicUsize::new(0),
+        }
     }
 
     /// Stage solves answered so far.
@@ -668,7 +666,7 @@ impl ArenaStageDp {
     }
 }
 
-impl StageDp for ArenaStageDp {
+impl StageDp for ArenaStageDp<'_> {
     fn solve(
         &self,
         estimator: &CostEstimator,
@@ -680,7 +678,7 @@ impl StageDp for ArenaStageDp {
             let out = dp_search_arena(
                 estimator,
                 model,
-                q.layer_start..q.layer_end,
+                q.layers(),
                 q.base_device,
                 q.set,
                 q.stage_batch,
@@ -689,7 +687,7 @@ impl StageDp for ArenaStageDp {
                 q.micro_batches,
                 q.act_stash_batch,
                 q.recompute,
-                &crate::dp::DirectCosts,
+                self.provider,
                 arena,
             )?;
             self.solves.fetch_add(1, Ordering::Relaxed);
@@ -705,7 +703,8 @@ impl StageDp for ArenaStageDp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{dp_search_with_provider, DirectCosts};
+    use crate::dp::DirectCosts;
+    use crate::reference;
     use galvatron_cluster::{rtx_titan_node, GIB, MIB};
     use galvatron_estimator::EstimatorConfig;
     use galvatron_model::BertConfig;
@@ -726,6 +725,30 @@ mod tests {
         .build("tiny")
     }
 
+    fn arena_solve(
+        est: &CostEstimator,
+        model: &ModelSpec,
+        q: &StageDpQuery<'_>,
+        arena: &mut DpArena,
+    ) -> Option<DpResult> {
+        dp_search_arena(
+            est,
+            model,
+            q.layers(),
+            q.base_device,
+            q.set,
+            q.stage_batch,
+            q.usable_budget,
+            q.granularity,
+            q.micro_batches,
+            q.act_stash_batch,
+            q.recompute,
+            &DirectCosts,
+            arena,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn arena_matches_reference_bit_for_bit() {
         let est = estimator();
@@ -735,36 +758,12 @@ mod tests {
             let set = DecisionTreeBuilder::new(group).strategies();
             for budget in [512 * MIB, 2 * GIB, 8 * GIB, 20 * GIB] {
                 for micro_batches in [1usize, 2, 4] {
-                    let reference = dp_search_with_provider(
-                        &est,
-                        &model,
-                        0..model.n_layers(),
-                        0,
-                        &set,
-                        16,
-                        budget,
-                        32 * MIB,
+                    let q = StageDpQuery {
                         micro_batches,
-                        16,
-                        &DirectCosts,
-                    )
-                    .unwrap();
-                    let fast = dp_search_arena(
-                        &est,
-                        &model,
-                        0..model.n_layers(),
-                        0,
-                        &set,
-                        16,
-                        budget,
-                        32 * MIB,
-                        micro_batches,
-                        16,
-                        RecomputeMode::Off,
-                        &DirectCosts,
-                        &mut arena,
-                    )
-                    .unwrap();
+                        ..StageDpQuery::new(0..model.n_layers(), &set, 16, budget, 32 * MIB)
+                    };
+                    let reference = reference::solve(&est, &model, &q, &DirectCosts).unwrap();
+                    let fast = arena_solve(&est, &model, &q, &mut arena);
                     match (&reference, &fast) {
                         (Some(a), Some(b)) => {
                             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
@@ -786,43 +785,13 @@ mod tests {
         let model = tiny_bert(2);
         let set = DecisionTreeBuilder::new(8).strategies();
         let mut arena = DpArena::new();
-        let out = dp_search_arena(
-            &est,
-            &model,
-            0..0,
-            0,
-            &set,
-            8,
-            GIB,
-            MIB,
-            1,
-            8,
-            RecomputeMode::Off,
-            &DirectCosts,
-            &mut arena,
-        )
-        .unwrap()
-        .unwrap();
+        let q = StageDpQuery::new(0..0, &set, 8, GIB, MIB);
+        let out = arena_solve(&est, &model, &q, &mut arena).unwrap();
         assert_eq!(out.cost, 0.0);
         assert!(out.strategies.is_empty());
         let empty = StrategySet::new(8, Vec::new());
-        let out = dp_search_arena(
-            &est,
-            &model,
-            0..model.n_layers(),
-            0,
-            &empty,
-            8,
-            GIB,
-            MIB,
-            1,
-            8,
-            RecomputeMode::Off,
-            &DirectCosts,
-            &mut arena,
-        )
-        .unwrap()
-        .unwrap();
+        let q = StageDpQuery::new(0..model.n_layers(), &empty, 8, GIB, MIB);
+        let out = arena_solve(&est, &model, &q, &mut arena).unwrap();
         assert!(out.strategies.is_empty());
     }
 
@@ -832,34 +801,12 @@ mod tests {
         let model = tiny_bert(4);
         let set = DecisionTreeBuilder::new(8).strategies();
         for budget in [2 * GIB, 8 * GIB, 16 * GIB] {
-            let reference = dp_search_with_provider(
-                &est,
-                &model,
-                0..model.n_layers(),
-                0,
-                &set,
-                16,
-                budget,
-                32 * MIB,
-                2,
-                16,
-                &DirectCosts,
-            )
-            .unwrap();
-            let masks = dominance_masks(
-                &est,
-                &model,
-                0..model.n_layers(),
-                0,
-                &set,
-                16,
-                32 * MIB,
-                2,
-                16,
-                RecomputeMode::Off,
-                &DirectCosts,
-            )
-            .unwrap();
+            let q = StageDpQuery {
+                micro_batches: 2,
+                ..StageDpQuery::new(0..model.n_layers(), &set, 16, budget, 32 * MIB)
+            };
+            let reference = reference::solve(&est, &model, &q, &DirectCosts).unwrap();
+            let masks = dominance_masks(&est, &model, &q, &DirectCosts).unwrap();
             if let Some(reference) = reference {
                 for (li, chosen) in reference.strategies.iter().enumerate() {
                     let si = set.strategies().iter().position(|s| s == chosen).unwrap();
@@ -878,22 +825,12 @@ mod tests {
         let est = estimator();
         let model = tiny_bert(4);
         let set = DecisionTreeBuilder::new(8).strategies();
-        let dp = ArenaStageDp::new();
+        let dp = ArenaStageDp::new(&DirectCosts);
         let q = StageDpQuery {
-            layer_start: 0,
-            layer_end: model.n_layers(),
-            base_device: 0,
-            set: &set,
-            stage_batch: 16,
-            usable_budget: 12 * GIB,
-            granularity: 32 * MIB,
             micro_batches: 2,
-            act_stash_batch: 16,
-            recompute: RecomputeMode::Off,
+            ..StageDpQuery::new(0..model.n_layers(), &set, 16, 12 * GIB, 32 * MIB)
         };
-        let direct = crate::candidate::DirectStageDp
-            .solve(&est, &model, &q)
-            .unwrap();
+        let direct = reference::DirectStageDp.solve(&est, &model, &q).unwrap();
         let fast = dp.solve(&est, &model, &q).unwrap();
         assert_eq!(direct, fast);
         assert_eq!(dp.solves(), 1);

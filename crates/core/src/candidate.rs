@@ -10,10 +10,13 @@
 //! pruning) call this same function, so the two fronts cannot drift.
 //!
 //! The per-stage DP is routed through the [`StageDp`] trait: the serial
-//! path uses [`DirectStageDp`] (compute every time), the parallel planner
-//! substitutes a shared memoization cache.
+//! path uses the reference [`DirectStageDp`](crate::reference::DirectStageDp),
+//! the parallel planner the arena solver under a shared memoization cache.
+//! [`stage_queries`] is the one place a candidate becomes per-stage Eq. 1
+//! queries — the planner's feasibility screen poses exactly the queries
+//! [`evaluate_candidate`] later solves.
 
-use crate::dp::{dp_search_with_recompute, DirectCosts, DpResult, RecomputeMode};
+use crate::dp::{StageDp, StageDpQuery};
 use crate::optimizer::OptimizerConfig;
 use crate::partition::{partition_memory_balanced, PipelinePartitioner};
 use galvatron_cluster::{ClusterError, ClusterTopology};
@@ -72,72 +75,6 @@ pub struct CandidateOutcome {
     /// is phrased in. Counted per query issued, so memoization cache hits
     /// in the parallel planner still count their cells.
     pub dp_cells: usize,
-}
-
-/// One per-stage Eq. 1 query, with every input that determines its answer.
-#[derive(Debug, Clone)]
-pub struct StageDpQuery<'a> {
-    /// First layer of the stage (inclusive).
-    pub layer_start: usize,
-    /// One past the last layer (exclusive).
-    pub layer_end: usize,
-    /// First device of the stage's group.
-    pub base_device: usize,
-    /// The runnable candidate strategies.
-    pub set: &'a StrategySet,
-    /// Whole-stage batch, samples.
-    pub stage_batch: u64,
-    /// Usable per-device budget, bytes.
-    pub usable_budget: u64,
-    /// DP memory quantization granularity, bytes.
-    pub granularity: u64,
-    /// Micro-batches the stage runs.
-    pub micro_batches: usize,
-    /// Samples whose activations are simultaneously stashed.
-    pub act_stash_batch: u64,
-    /// Which per-layer recomputation planes the Eq. 1 DP may choose from.
-    pub recompute: RecomputeMode,
-}
-
-/// How a candidate evaluation obtains per-stage DP results. The parallel
-/// planner implements this with a shared memoization cache; the serial path
-/// computes directly.
-pub trait StageDp {
-    /// Answer one Eq. 1 query.
-    fn solve(
-        &self,
-        estimator: &CostEstimator,
-        model: &ModelSpec,
-        query: &StageDpQuery<'_>,
-    ) -> Result<Option<DpResult>, ClusterError>;
-}
-
-/// The cache-free [`StageDp`]: every query runs the DP.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DirectStageDp;
-
-impl StageDp for DirectStageDp {
-    fn solve(
-        &self,
-        estimator: &CostEstimator,
-        model: &ModelSpec,
-        q: &StageDpQuery<'_>,
-    ) -> Result<Option<DpResult>, ClusterError> {
-        dp_search_with_recompute(
-            estimator,
-            model,
-            q.layer_start..q.layer_end,
-            q.base_device,
-            q.set,
-            q.stage_batch,
-            q.usable_budget,
-            q.granularity,
-            q.micro_batches,
-            q.act_stash_batch,
-            q.recompute,
-            &DirectCosts,
-        )
-    }
 }
 
 /// Candidate PP degrees (Algorithm 1 line 4) and their decision-tree
@@ -254,6 +191,43 @@ pub fn runnable_set(full_set: &StrategySet, micro: usize) -> StrategySet {
     StrategySet::new(full_set.group_size(), runnable)
 }
 
+/// The per-stage Eq. 1 queries of one candidate, in stage order: stage
+/// `i` covers `spec.bounds[i]` on the device group starting at
+/// `i · n_devices / pp` under `stage_budgets[i]`, with `set` (the
+/// candidate's [`runnable_set`]) and activations stashed for the
+/// schedule's in-flight micro-batches (the whole batch under GPipe; the
+/// stage's in-flight window under 1F1B).
+pub fn stage_queries<'a>(
+    config: &'a OptimizerConfig,
+    spec: &'a CandidateSpec,
+    set: &'a StrategySet,
+    n_devices: usize,
+    stage_budgets: &'a [u64],
+) -> impl Iterator<Item = StageDpQuery<'a>> + 'a {
+    debug_assert_eq!(stage_budgets.len(), spec.pp, "one usable budget per stage");
+    let group = n_devices / spec.pp;
+    spec.bounds
+        .iter()
+        .enumerate()
+        .map(move |(i, &(start, end))| StageDpQuery {
+            layer_start: start,
+            layer_end: end,
+            base_device: i * group,
+            set,
+            stage_batch: spec.batch as u64,
+            usable_budget: stage_budgets[i],
+            granularity: config.memory_granularity,
+            micro_batches: spec.micro_batches,
+            act_stash_batch: config.schedule.stash_samples(
+                i,
+                spec.pp,
+                spec.micro_batches,
+                spec.batch,
+            ),
+            recompute: config.recompute,
+        })
+}
+
 /// Evaluate one candidate of Algorithm 1's sweep, exactly as the serial
 /// loop does: filter the runnable strategies, run Eq. 1 per stage through
 /// `dp`, assemble the plan and price it with `estimator`.
@@ -279,7 +253,6 @@ pub fn evaluate_candidate(
     let batch = spec.batch;
     let micro_batches = spec.micro_batches;
     let micro = batch / micro_batches;
-    debug_assert_eq!(stage_budgets.len(), pp, "one usable budget per stage");
 
     let set = runnable_set(full_set, micro);
     if set.is_empty() {
@@ -296,23 +269,9 @@ pub fn evaluate_candidate(
     // A decision cell is a `(layer, strategy, recompute-plane)` triple; with
     // recomputation off this is exactly the historical strategy count.
     let n_planes = config.recompute.planes().len();
-    for (i, &(start, end)) in spec.bounds.iter().enumerate() {
+    for query in stage_queries(config, spec, &set, n, stage_budgets) {
         dp_invocations += 1;
-        dp_cells += (end - start) * set.len() * n_planes;
-        let in_flight = config.schedule.in_flight(i, pp, micro_batches) as u64;
-        let act_stash = (micro as u64 * in_flight).min(batch as u64);
-        let query = StageDpQuery {
-            layer_start: start,
-            layer_end: end,
-            base_device: i * group,
-            set: &set,
-            stage_batch: batch as u64,
-            usable_budget: stage_budgets[i],
-            granularity: config.memory_granularity,
-            micro_batches,
-            act_stash_batch: act_stash,
-            recompute: config.recompute,
-        };
+        dp_cells += query.layers().len() * set.len() * n_planes;
         match dp.solve(estimator, model, &query)? {
             Some(result) => stage_results.push(result),
             None => {
@@ -464,7 +423,7 @@ mod tests {
             &sets[0].1,
             &spec,
             &[usable],
-            &DirectStageDp,
+            &crate::reference::DirectStageDp,
         )
         .unwrap();
         assert_eq!(out.dp_invocations, 1);

@@ -1,4 +1,5 @@
-//! The dynamic-programming search of Eq. 1.
+//! The Eq. 1 interface: one query type, one solver trait, the cost-kernel
+//! seam and the exact feasibility screen.
 //!
 //! For one pipeline stage of `L` layers under a per-device budget `E`,
 //! choose a strategy `S_j ∈ S` per layer minimising
@@ -19,6 +20,11 @@
 //! transient any candidate could incur is pre-subtracted from the budget,
 //! keeping `O(·)` additive so the optimal-substructure argument of §3.3
 //! holds unchanged.
+//!
+//! Every solver answers a [`StageDpQuery`] through the [`StageDp`] trait:
+//! [`reference::solve`](crate::reference::solve) is the oracle,
+//! [`dp_search_arena`](crate::arena::dp_search_arena) the production path.
+//! [`dp_feasible`] answers whether a query has any solution at all.
 
 use galvatron_cluster::{ClusterError, DeviceId};
 use galvatron_estimator::{CostEstimator, LayerCost, LayerMemory};
@@ -271,409 +277,139 @@ pub struct DpResult {
     pub memory_bytes: u64,
 }
 
-/// Run Eq. 1 for `model.layers[layer_range]` on the device group starting
-/// at `base_device`, with candidates `set`, a whole-stage batch of
-/// `stage_batch` samples, a *usable* per-device budget (framework overhead
-/// already subtracted) and memory `granularity` in bytes.
-///
-/// Returns `Ok(None)` when no assignment fits the budget (the paper's `∞`).
-#[allow(clippy::too_many_arguments)]
-pub fn dp_search(
-    estimator: &CostEstimator,
-    model: &ModelSpec,
-    layer_range: Range<usize>,
-    base_device: DeviceId,
-    set: &StrategySet,
-    stage_batch: u64,
-    usable_budget: u64,
-    granularity: u64,
-) -> Result<Option<DpResult>, ClusterError> {
-    dp_search_with_micro_batches(
-        estimator,
-        model,
-        layer_range,
-        base_device,
-        set,
-        stage_batch,
-        usable_budget,
-        granularity,
-        1,
-        stage_batch,
-    )
+/// One per-stage Eq. 1 query, with every input that determines its answer:
+/// the stage's layer range and device group, the runnable strategy set, the
+/// batch shape (micro-batch count, activation stash), the usable budget,
+/// the memory granularity and the recompute planes. Every solver answers
+/// exactly this type; [`stage_queries`](crate::candidate::stage_queries)
+/// builds the queries of an Algorithm-1 candidate.
+#[derive(Debug, Clone)]
+pub struct StageDpQuery<'a> {
+    /// First layer of the stage (inclusive).
+    pub layer_start: usize,
+    /// One past the last layer (exclusive).
+    pub layer_end: usize,
+    /// First device of the stage's group.
+    pub base_device: usize,
+    /// The runnable candidate strategies.
+    pub set: &'a StrategySet,
+    /// Whole-stage batch, samples.
+    pub stage_batch: u64,
+    /// Usable per-device budget, bytes.
+    pub usable_budget: u64,
+    /// DP memory quantization granularity, bytes.
+    pub granularity: u64,
+    /// Micro-batches the stage runs. ZeRO-3 collectives repeat per
+    /// micro-batch, which changes which strategies win inside deep
+    /// pipelines.
+    pub micro_batches: usize,
+    /// Samples whose activations are simultaneously stashed (the whole
+    /// batch under GPipe; the in-flight window under 1F1B).
+    pub act_stash_batch: u64,
+    /// Which per-layer recomputation planes the Eq. 1 DP may choose from.
+    pub recompute: RecomputeMode,
 }
 
-/// [`dp_search`] with per-layer costs priced for a stage running
-/// `micro_batches` micro-batches — ZeRO-3 collectives repeat per
-/// micro-batch, which changes which strategies win inside deep pipelines —
-/// and activation memory charged for `act_stash_batch` samples (the whole
-/// batch under GPipe; the in-flight window under 1F1B).
-#[allow(clippy::too_many_arguments)]
-pub fn dp_search_with_micro_batches(
-    estimator: &CostEstimator,
-    model: &ModelSpec,
-    layer_range: Range<usize>,
-    base_device: DeviceId,
-    set: &StrategySet,
-    stage_batch: u64,
-    usable_budget: u64,
-    granularity: u64,
-    micro_batches: usize,
-    act_stash_batch: u64,
-) -> Result<Option<DpResult>, ClusterError> {
-    dp_search_with_provider(
-        estimator,
-        model,
-        layer_range,
-        base_device,
-        set,
-        stage_batch,
-        usable_budget,
-        granularity,
-        micro_batches,
-        act_stash_batch,
-        &DirectCosts,
-    )
+impl<'a> StageDpQuery<'a> {
+    /// The single-micro-batch, stash-only query for `layers` on the group
+    /// starting at device 0: the whole `stage_batch` is one micro-batch
+    /// and every activation is stashed. Override fields with struct-update
+    /// syntax for other shapes.
+    pub fn new(
+        layers: Range<usize>,
+        set: &'a StrategySet,
+        stage_batch: u64,
+        usable_budget: u64,
+        granularity: u64,
+    ) -> Self {
+        StageDpQuery {
+            layer_start: layers.start,
+            layer_end: layers.end,
+            base_device: 0,
+            set,
+            stage_batch,
+            usable_budget,
+            granularity,
+            micro_batches: 1,
+            act_stash_batch: stage_batch,
+            recompute: RecomputeMode::Off,
+        }
+    }
+
+    /// The stage's global layer indices.
+    pub fn layers(&self) -> Range<usize> {
+        self.layer_start..self.layer_end
+    }
 }
 
-/// [`dp_search_with_micro_batches`] with the three cost kernels routed
-/// through a [`StageCostProvider`]. With [`DirectCosts`] this *is* the
-/// historical solver; with the incremental engine's intern table every
-/// kernel value is the memoized result of an identical earlier estimator
-/// call, so the answer is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn dp_search_with_provider(
-    estimator: &CostEstimator,
-    model: &ModelSpec,
-    layer_range: Range<usize>,
-    base_device: DeviceId,
-    set: &StrategySet,
-    stage_batch: u64,
-    usable_budget: u64,
-    granularity: u64,
-    micro_batches: usize,
-    act_stash_batch: u64,
-    provider: &dyn StageCostProvider,
-) -> Result<Option<DpResult>, ClusterError> {
-    dp_search_with_recompute(
-        estimator,
-        model,
-        layer_range,
-        base_device,
-        set,
-        stage_batch,
-        usable_budget,
-        granularity,
-        micro_batches,
-        act_stash_batch,
-        RecomputeMode::Off,
-        provider,
-    )
+/// An Eq. 1 solver. Three implementations exist:
+/// [`DirectStageDp`](crate::reference::DirectStageDp) (the reference
+/// solver, for the serial baseline and the oracle suites),
+/// [`ArenaStageDp`](crate::arena::ArenaStageDp) (the production solver) and
+/// the planner's memoizing `CachedStageDp` over either. All answer every
+/// query bit-identically.
+pub trait StageDp {
+    /// Answer one Eq. 1 query; `Ok(None)` when no assignment fits the
+    /// budget (the paper's `∞`).
+    fn solve(
+        &self,
+        estimator: &CostEstimator,
+        model: &ModelSpec,
+        query: &StageDpQuery<'_>,
+    ) -> Result<Option<DpResult>, ClusterError>;
 }
 
-/// [`dp_search_with_provider`] over the enlarged decision space
-/// `(strategy, recompute)`. Decisions are indexed `d = plane·|S| + s` with
-/// the stash plane first, so under the solver's first-wins strict-`<`
-/// tie-breaking an all-stash assignment wins whenever recompute does not
-/// strictly improve the objective; with [`RecomputeMode::Off`] the decision
-/// space degenerates to the historical per-strategy scan and the answer is
-/// bit-identical to the pre-recompute solver. The transformation kernel `R`
-/// depends only on the strategy components (recomputation changes what a
-/// layer stashes, not how activations are laid out across devices), so the
-/// `R` table stays `|S|²` and decisions index it through their strategy
-/// part.
-#[allow(clippy::too_many_arguments)]
-pub fn dp_search_with_recompute(
-    estimator: &CostEstimator,
-    model: &ModelSpec,
-    layer_range: Range<usize>,
-    base_device: DeviceId,
-    set: &StrategySet,
-    stage_batch: u64,
-    usable_budget: u64,
-    granularity: u64,
-    micro_batches: usize,
-    act_stash_batch: u64,
-    recompute: RecomputeMode,
-    provider: &dyn StageCostProvider,
-) -> Result<Option<DpResult>, ClusterError> {
-    assert!(granularity > 0);
-    let planes = recompute.planes();
-    let layers: Vec<usize> = layer_range.collect();
-    let n_layers = layers.len();
-    let n_strats = set.len();
-    let n_dec = n_strats * planes.len();
-    if n_layers == 0 || n_strats == 0 {
-        return Ok(Some(DpResult {
-            cost: 0.0,
-            strategies: Vec::new(),
-            recompute: Vec::new(),
-            memory_bytes: 0,
-        }));
-    }
-
-    // Per-layer, per-decision cost and quantized memory; plus the transient
-    // reserve (see module docs).
-    let mut cost = vec![vec![0.0f64; n_dec]; n_layers];
-    let mut mem_units = vec![vec![0u32; n_dec]; n_layers];
-    let mut reserve = 0u64;
-    let micro = (stage_batch / micro_batches.max(1) as u64).max(1);
-    for (li, &l) in layers.iter().enumerate() {
-        for (plane, &rc) in planes.iter().enumerate() {
-            for (si, s) in set.iter().enumerate() {
-                let di = plane * n_strats + si;
-                let c = provider.layer_cost_rc(estimator, model, l, s, micro, base_device, rc)?;
-                cost[li][di] = c.total_with_micro_batches(estimator.config(), micro_batches);
-                let m = provider.layer_memory_rc(estimator, model, l, s, act_stash_batch, rc);
-                mem_units[li][di] =
-                    u32::try_from(m.persistent().div_ceil(granularity)).unwrap_or(u32::MAX);
-                reserve = reserve.max(m.transient);
-            }
-        }
-    }
-    // ZeRO-3 prefetch keeps up to two layers' unsharded parameters resident.
-    let budget_units = usable_budget.saturating_sub(2 * reserve) / granularity;
-    let e_max = usize::try_from(budget_units)
-        .unwrap_or(usize::MAX)
-        .min(1 << 22);
-
-    // Transformation costs between consecutive layers: r[li][s_prev][s_next].
-    // Strategy-indexed: decisions map through `d % n_strats`.
-    let mut r = vec![vec![vec![0.0f64; n_strats]; n_strats]; n_layers];
-    for (li, &l) in layers.iter().enumerate().skip(1) {
-        for (pi, p) in set.iter().enumerate() {
-            for (si, s) in set.iter().enumerate() {
-                r[li][pi][si] = provider.transformation(
-                    estimator,
-                    model,
-                    l - 1,
-                    p,
-                    s,
-                    stage_batch,
-                    base_device,
-                )?;
-            }
-        }
-    }
-
-    // dp[e][d]: min time of the processed prefix using at most `e` memory
-    // units, last layer on decision `d`. Backpointers for reconstruction.
-    const INF: f64 = f64::INFINITY;
-    let width = e_max + 1;
-    let mut dp = vec![INF; width * n_dec];
-    let mut choice: Vec<u8> = vec![u8::MAX; n_layers * width * n_dec];
-    assert!(
-        n_dec <= u8::MAX as usize,
-        "decision space exceeds u8 backpointers ({n_dec} decisions)"
-    );
-
-    // Layer 0.
-    for di in 0..n_dec {
-        let need = mem_units[0][di] as usize;
-        if need <= e_max {
-            for e in need..=e_max {
-                let v = cost[0][di];
-                if v < dp[e * n_dec + di] {
-                    dp[e * n_dec + di] = v;
-                }
-            }
-        }
-    }
-
-    let mut next = vec![INF; width * n_dec];
-    for li in 1..n_layers {
-        next.iter_mut().for_each(|v| *v = INF);
-        for di in 0..n_dec {
-            let need = mem_units[li][di] as usize;
-            if need > e_max {
-                continue;
-            }
-            let rrow = &r[li][..];
-            let si = di % n_strats;
-            for e in need..=e_max {
-                let rem = e - need;
-                let mut best = INF;
-                let mut best_prev = u8::MAX;
-                for pd in 0..n_dec {
-                    let prior = dp[rem * n_dec + pd];
-                    if prior.is_finite() {
-                        let total = prior + rrow[pd % n_strats][si];
-                        if total < best {
-                            best = total;
-                            best_prev = pd as u8;
-                        }
-                    }
-                }
-                if best.is_finite() {
-                    let v = best + cost[li][di];
-                    let slot = e * n_dec + di;
-                    if v < next[slot] {
-                        next[slot] = v;
-                        choice[(li * width + e) * n_dec + di] = best_prev;
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut dp, &mut next);
-    }
-
-    // Pick the best terminal state.
-    let mut best = INF;
-    let mut best_d = usize::MAX;
-    for di in 0..n_dec {
-        let v = dp[e_max * n_dec + di];
-        if v < best {
-            best = v;
-            best_d = di;
-        }
-    }
-    if !best.is_finite() {
-        return Ok(None);
-    }
-
-    // Reconstruct: walk back choosing, at each layer, the recorded parent at
-    // the smallest `e` achieving the optimum. Because dp uses "at most e"
-    // semantics, the terminal state at e_max is reachable along a path whose
-    // per-layer memory draws sum to ≤ e_max; recompute the draw as we go.
-    let mut strategies_rev = Vec::with_capacity(n_layers);
-    let mut recompute_rev = Vec::with_capacity(n_layers);
-    let mut mem_total_units = 0u64;
-    let mut di = best_d;
-    let mut e = e_max;
-    for li in (0..n_layers).rev() {
-        strategies_rev.push(set.strategies()[di % n_strats].clone());
-        recompute_rev.push(planes[di / n_strats]);
-        mem_total_units += mem_units[li][di] as u64;
-        if li == 0 {
-            break;
-        }
-        let need = mem_units[li][di] as usize;
-        let parent = choice[(li * width + e) * n_dec + di];
-        debug_assert_ne!(parent, u8::MAX, "backpointer missing");
-        e -= need;
-        di = parent as usize;
-    }
-    strategies_rev.reverse();
-    recompute_rev.reverse();
-    if recompute_rev.iter().all(|&rc| !rc) {
-        recompute_rev = Vec::new();
-    }
-
-    Ok(Some(DpResult {
-        cost: best,
-        strategies: strategies_rev,
-        recompute: recompute_rev,
-        memory_bytes: mem_total_units * granularity + 2 * reserve,
-    }))
-}
-
-/// Memory-only feasibility of [`dp_search_with_micro_batches`]: `true` iff
-/// the DP would return `Some`. The DP admits an assignment exactly when the
-/// cheapest-memory strategy per layer fits the quantized budget —
-/// `Σ_l min_s units(l, s) ≤ e_max` — because Eq. 1 constrains memory only
-/// through the additive per-layer draw (time never gates reachability). The
-/// arithmetic below (saturating `u32` quantization, transient reserve,
-/// `e_max` clamp) mirrors the DP bit for bit, so the parallel planner can
-/// run this O(L·S) check to reproduce Algorithm 1's early-stop bookkeeping
-/// without paying the O(L·S²·E) solve for infeasible candidates.
+/// Memory-only feasibility of an Eq. 1 query: `true` iff a solver would
+/// return `Some`. The DP admits an assignment exactly when the
+/// cheapest-memory decision per layer fits the quantized budget —
+/// `Σ_l min_d units(l, d) ≤ e_max` over every `(strategy, recompute)`
+/// decision the query's planes allow — because Eq. 1 constrains memory
+/// only through the additive per-layer draw (time never gates
+/// reachability). The arithmetic below (saturating `u32` quantization,
+/// transient reserve, `e_max` clamp) mirrors the solvers bit for bit, so
+/// the planner runs this `O(L·S)` check to reproduce Algorithm 1's
+/// early-stop bookkeeping without paying the `O(L·S²·E)` solve for
+/// infeasible candidates. Only the memory kernel is consulted, through
+/// `provider`.
 pub fn dp_feasible(
     estimator: &CostEstimator,
     model: &ModelSpec,
-    layer_range: Range<usize>,
-    set: &StrategySet,
-    usable_budget: u64,
-    granularity: u64,
-    act_stash_batch: u64,
-) -> bool {
-    dp_feasible_with_provider(
-        estimator,
-        model,
-        layer_range,
-        set,
-        usable_budget,
-        granularity,
-        act_stash_batch,
-        &DirectCosts,
-    )
-}
-
-/// [`dp_feasible`] with the memory kernel routed through a
-/// [`StageCostProvider`] — the incremental engine points this at its intern
-/// table so the enumeration phase's feasibility screen and the later DP
-/// solves share one set of `O(l, s)` evaluations.
-#[allow(clippy::too_many_arguments)]
-pub fn dp_feasible_with_provider(
-    estimator: &CostEstimator,
-    model: &ModelSpec,
-    layer_range: Range<usize>,
-    set: &StrategySet,
-    usable_budget: u64,
-    granularity: u64,
-    act_stash_batch: u64,
+    q: &StageDpQuery<'_>,
     provider: &dyn StageCostProvider,
 ) -> bool {
-    dp_feasible_with_recompute(
-        estimator,
-        model,
-        layer_range,
-        set,
-        usable_budget,
-        granularity,
-        act_stash_batch,
-        RecomputeMode::Off,
-        provider,
-    )
-}
-
-/// [`dp_feasible_with_provider`] over the enlarged `(strategy, recompute)`
-/// decision space: the per-layer minimum draw ranges over every decision
-/// the corresponding [`dp_search_with_recompute`] would scan, so the screen
-/// stays exact for every mode (with [`RecomputeMode::Off`] it is the
-/// historical check bit for bit).
-#[allow(clippy::too_many_arguments)]
-pub fn dp_feasible_with_recompute(
-    estimator: &CostEstimator,
-    model: &ModelSpec,
-    layer_range: Range<usize>,
-    set: &StrategySet,
-    usable_budget: u64,
-    granularity: u64,
-    act_stash_batch: u64,
-    recompute: RecomputeMode,
-    provider: &dyn StageCostProvider,
-) -> bool {
-    assert!(granularity > 0);
-    let planes = recompute.planes();
-    let layers: Vec<usize> = layer_range.collect();
-    if layers.is_empty() || set.is_empty() {
+    assert!(q.granularity > 0);
+    if q.layer_start == q.layer_end || q.set.is_empty() {
         return true;
     }
     let mut reserve = 0u64;
-    let mut min_units: Vec<u64> = Vec::with_capacity(layers.len());
-    for &l in &layers {
+    let mut min_units = 0u64;
+    for l in q.layers() {
         let mut best = u32::MAX;
-        for &rc in planes {
-            for s in set.iter() {
-                let m = provider.layer_memory_rc(estimator, model, l, s, act_stash_batch, rc);
-                let units = u32::try_from(m.persistent().div_ceil(granularity)).unwrap_or(u32::MAX);
+        for &rc in q.recompute.planes() {
+            for s in q.set.iter() {
+                let m = provider.layer_memory_rc(estimator, model, l, s, q.act_stash_batch, rc);
+                let units =
+                    u32::try_from(m.persistent().div_ceil(q.granularity)).unwrap_or(u32::MAX);
                 reserve = reserve.max(m.transient);
                 best = best.min(units);
             }
         }
-        min_units.push(best as u64);
+        min_units += best as u64;
     }
-    let budget_units = usable_budget.saturating_sub(2 * reserve) / granularity;
+    let budget_units = q.usable_budget.saturating_sub(2 * reserve) / q.granularity;
     let e_max = usize::try_from(budget_units)
         .unwrap_or(usize::MAX)
         .min(1 << 22) as u64;
-    min_units.iter().sum::<u64>() <= e_max
+    min_units <= e_max
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use galvatron_cluster::{rtx_titan_node, GIB, MIB};
+    use crate::reference;
+    use galvatron_cluster::{rtx_titan_node, MIB};
     use galvatron_estimator::EstimatorConfig;
-    use galvatron_model::{BertConfig, PaperModel};
+    use galvatron_model::BertConfig;
     use galvatron_strategy::DecisionTreeBuilder;
 
     fn estimator() -> CostEstimator {
@@ -692,82 +428,8 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_budget_returns_none() {
-        let est = estimator();
-        let model = tiny_bert(4);
-        let set = DecisionTreeBuilder::new(8).strategies();
-        let out = dp_search(
-            &est,
-            &model,
-            0..model.n_layers(),
-            0,
-            &set,
-            8,
-            64 * MIB,
-            32 * MIB,
-        )
-        .unwrap();
-        assert!(out.is_none());
-    }
-
-    #[test]
-    fn generous_budget_finds_a_plan() {
-        let est = estimator();
-        let model = tiny_bert(4);
-        let set = DecisionTreeBuilder::new(8).strategies();
-        let out = dp_search(
-            &est,
-            &model,
-            0..model.n_layers(),
-            0,
-            &set,
-            8,
-            20 * GIB,
-            32 * MIB,
-        )
-        .unwrap()
-        .expect("feasible");
-        assert_eq!(out.strategies.len(), model.n_layers());
-        assert!(out.cost > 0.0 && out.cost.is_finite());
-        assert!(out.memory_bytes <= 20 * GIB);
-        for s in &out.strategies {
-            assert_eq!(s.total_degree(), 8);
-        }
-    }
-
-    #[test]
-    fn tighter_budgets_never_run_faster() {
-        let est = estimator();
-        let model = tiny_bert(6);
-        let set = DecisionTreeBuilder::new(8).strategies();
-        let mut prev_cost = f64::INFINITY;
-        for budget in [4 * GIB, 8 * GIB, 16 * GIB, 23 * GIB] {
-            if let Some(out) = dp_search(
-                &est,
-                &model,
-                0..model.n_layers(),
-                0,
-                &set,
-                16,
-                budget,
-                32 * MIB,
-            )
-            .unwrap()
-            {
-                assert!(
-                    out.cost <= prev_cost + 1e-12,
-                    "budget {budget}: {} > {prev_cost}",
-                    out.cost
-                );
-                prev_cost = out.cost;
-            }
-        }
-        assert!(prev_cost.is_finite(), "largest budget must be feasible");
-    }
-
-    #[test]
     fn feasibility_check_agrees_with_the_dp() {
-        // `dp_feasible` must answer exactly `dp_search(..).is_some()` for
+        // `dp_feasible` must answer exactly `solve(..).is_some()` for
         // every budget from hopeless to generous, including the boundary
         // region where quantization and the transient reserve decide.
         let est = estimator();
@@ -779,27 +441,11 @@ mod tests {
         for step in 0..40u64 {
             let budget = 64 * MIB + step * 512 * MIB;
             for batch in [8u64, 32] {
-                let full = dp_search(
-                    &est,
-                    &model,
-                    0..model.n_layers(),
-                    0,
-                    &set,
-                    batch,
-                    budget,
-                    granularity,
-                )
-                .unwrap()
-                .is_some();
-                let quick = dp_feasible(
-                    &est,
-                    &model,
-                    0..model.n_layers(),
-                    &set,
-                    budget,
-                    granularity,
-                    batch,
-                );
+                let q = StageDpQuery::new(0..model.n_layers(), &set, batch, budget, granularity);
+                let full = reference::solve(&est, &model, &q, &DirectCosts)
+                    .unwrap()
+                    .is_some();
+                let quick = dp_feasible(&est, &model, &q, &DirectCosts);
                 assert_eq!(quick, full, "budget {budget} batch {batch}");
                 if prev == Some(!full) {
                     flips += 1;
@@ -815,161 +461,10 @@ mod tests {
         let est = estimator();
         let model = tiny_bert(2);
         let set = DecisionTreeBuilder::new(8).strategies();
-        assert!(dp_feasible(&est, &model, 0..0, &set, 0, MIB, 8));
-        let empty = galvatron_strategy::StrategySet::new(8, Vec::new());
-        assert!(dp_feasible(
-            &est,
-            &model,
-            0..model.n_layers(),
-            &empty,
-            0,
-            MIB,
-            8
-        ));
-    }
-
-    #[test]
-    fn matches_brute_force_on_small_instances() {
-        // Exhaustive check of the optimal-substructure implementation: every
-        // assignment of 3 layers × |S| strategies, same quantized
-        // accounting.
-        let est = estimator();
-        let model = tiny_bert(1); // embed + enc + head = 3 layers
-        let set = DecisionTreeBuilder::new(4).strategies();
-        let batch = 8u64;
-        let granularity = 64 * MIB;
-        for budget in [2 * GIB, 4 * GIB, 8 * GIB, 16 * GIB] {
-            let dp_out = dp_search(
-                &est,
-                &model,
-                0..model.n_layers(),
-                0,
-                &set,
-                batch,
-                budget,
-                granularity,
-            )
-            .unwrap();
-
-            // Brute force with identical quantization and reserve.
-            let mut reserve = 0u64;
-            for l in &model.layers {
-                for s in set.iter() {
-                    reserve = reserve.max(est.layer_memory(l, model.dtype, s, batch).transient);
-                }
-            }
-            let budget_units = budget.saturating_sub(2 * reserve) / granularity;
-            let mut best: Option<f64> = None;
-            let n = set.len();
-            let l_count = model.n_layers();
-            let mut assignment = vec![0usize; l_count];
-            loop {
-                // Evaluate.
-                let mut mem_units = 0u64;
-                let mut time = 0.0;
-                let mut ok = true;
-                for (li, &si) in assignment.iter().enumerate() {
-                    let layer = &model.layers[li];
-                    let s = &set.strategies()[si];
-                    let m = est.layer_memory(layer, model.dtype, s, batch);
-                    mem_units += m.persistent().div_ceil(granularity);
-                    let c = est.layer_cost(layer, model.dtype, s, batch, 0).unwrap();
-                    time += c.total(est.config());
-                    if li > 0 {
-                        time += est
-                            .transformation_cost(
-                                &model.layers[li - 1],
-                                model.dtype,
-                                &set.strategies()[assignment[li - 1]],
-                                s,
-                                batch,
-                                0,
-                            )
-                            .unwrap();
-                    }
-                    if mem_units > budget_units {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    best = Some(best.map_or(time, |b: f64| b.min(time)));
-                }
-                // Next assignment.
-                let mut i = 0;
-                loop {
-                    if i == l_count {
-                        break;
-                    }
-                    assignment[i] += 1;
-                    if assignment[i] < n {
-                        break;
-                    }
-                    assignment[i] = 0;
-                    i += 1;
-                }
-                if i == l_count {
-                    break;
-                }
-            }
-
-            match (dp_out, best) {
-                (Some(dp), Some(bf)) => {
-                    assert!(
-                        (dp.cost - bf).abs() < 1e-9 * bf.max(1.0),
-                        "budget {budget}: dp {} vs brute force {bf}",
-                        dp.cost
-                    );
-                }
-                (None, None) => {}
-                (dp, bf) => panic!("feasibility mismatch at {budget}: dp={dp:?} bf={bf:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn swin_prefers_dp_shallow_and_tp_deep_under_pressure() {
-        // §5.5 / Figure 5: Swin's shallow layers (big activations, few
-        // params) prefer data parallel; deep layers (many params) prefer
-        // tensor/sharded parallel when memory is tight.
-        let est = estimator();
-        let model = PaperModel::SwinHuge32.spec();
-        let set = DecisionTreeBuilder::new(8).strategies();
-        let usable = est.topology().usable_budget(8 * GIB);
-        let out = dp_search(
-            &est,
-            &model,
-            0..model.n_layers(),
-            0,
-            &set,
-            32,
-            usable,
-            32 * MIB,
-        )
-        .unwrap()
-        .expect("8 GiB is feasible for Swin at batch 32");
-        let first_enc = model
-            .layers
-            .iter()
-            .position(|l| l.is_transformer_layer())
-            .unwrap();
-        let last_enc = model.n_layers()
-            - 1
-            - model
-                .layers
-                .iter()
-                .rev()
-                .position(|l| l.is_transformer_layer())
-                .unwrap();
-        let shallow = &out.strategies[first_enc];
-        let deep = &out.strategies[last_enc];
-        assert!(
-            shallow.data_degree() >= deep.data_degree(),
-            "shallow {shallow} vs deep {deep}"
-        );
-        assert!(
-            deep.tp() >= shallow.tp(),
-            "shallow {shallow} vs deep {deep}"
-        );
+        let q = StageDpQuery::new(0..0, &set, 8, 0, MIB);
+        assert!(dp_feasible(&est, &model, &q, &DirectCosts));
+        let empty = StrategySet::new(8, Vec::new());
+        let q = StageDpQuery::new(0..model.n_layers(), &empty, 8, 0, MIB);
+        assert!(dp_feasible(&est, &model, &q, &DirectCosts));
     }
 }

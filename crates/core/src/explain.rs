@@ -138,8 +138,7 @@ pub fn explain_plan(
             .with_takeaway3(config.takeaway3)
             .strategies();
         let set = runnable_set(&full_set, micro);
-        let in_flight = plan.schedule.in_flight(si, pp, m) as u64;
-        let act_stash = (micro_u64 * in_flight).min(batch);
+        let act_stash = plan.schedule.stash_samples(si, pp, m, plan.global_batch);
         let base = stage.device_base;
 
         // c(l, s) + R over the chain, per the DP's conventions. Alternatives

@@ -1,5 +1,5 @@
-//! The incremental DP engine: structure-shared kernel interning plus
-//! monotone-memory warm-starts for Algorithm 1's outer sweep.
+//! The incremental DP engine: structure-shared kernel interning plus a
+//! monotone-memory feasibility ledger for Algorithm 1's outer sweep.
 //!
 //! Algorithm 1 re-runs the Eq. 1 DP from scratch for every
 //! `(batch, PP degree, stage bounds, micro-batch count)` candidate, yet
@@ -27,19 +27,24 @@
 //! feasible at every `b' ≤ b`. The ledger keeps, per
 //! `(context, stage shape, strategy set, budget, granularity)`, the largest
 //! stash known feasible and the smallest known infeasible, and answers
-//! queries outside the unknown window without touching the estimator — the
-//! "warm-start from the previous batch's feasible set" of the incremental
-//! sweep. Eq. 1 admits an assignment exactly when the cheapest-memory
-//! strategy per layer fits the quantized budget (time never gates
-//! reachability), so feasibility of the *solve* and of the
-//! [`dp_feasible`](crate::dp::dp_feasible) screen coincide; the
-//! `estimator_invariants` property suite checks the monotonicity
-//! assumption, and the `dp_oracle` conformance suite checks every path
-//! against brute force.
+//! queries outside the unknown window without touching the estimator. The
+//! planner's enumeration phase screens every candidate stage through it
+//! ([`BoundIncrementalDp::feasible`]) before dispatching any solve. Eq. 1
+//! admits an assignment exactly when the cheapest-memory strategy per layer
+//! fits the quantized budget (time never gates reachability), so
+//! feasibility of the *solve* and of the
+//! [`dp_feasible`](crate::dp::dp_feasible) screen coincide — which is why
+//! no dispatched solve ever comes back infeasible and the ledger needs no
+//! second gate at solve time. The `estimator_invariants` property suite
+//! checks the monotonicity assumption, and the `dp_oracle` conformance
+//! suite checks every path against brute force.
+//!
+//! [`IncrementalEngine::bind`] hands out the engine's two roles for one
+//! (estimator, model) context: the interning [`StageCostProvider`] the
+//! planner's [`ArenaStageDp`](crate::arena::ArenaStageDp) draws kernels
+//! from, and the ledger-backed feasibility screen.
 
-use crate::arena::{dp_search_arena, with_thread_arena};
-use crate::candidate::{StageDp, StageDpQuery};
-use crate::dp::{dp_feasible_with_recompute, DpResult, RecomputeMode, StageCostProvider};
+use crate::dp::{dp_feasible, StageCostProvider, StageDpQuery};
 use galvatron_cluster::{ClusterError, DeviceId};
 use galvatron_estimator::{CostEstimator, LayerCost, LayerMemory};
 use galvatron_model::ModelSpec;
@@ -48,10 +53,11 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-const SHARDS: usize = 16;
+/// Shards per [`Sharded`] map; a key lives in shard
+/// `DefaultHasher(key) % SHARDS`.
+pub const SHARDS: usize = 16;
 
 /// The fingerprint of everything a kernel evaluation depends on beyond its
 /// own coordinates: the model, the topology (prefixed with its structural
@@ -106,7 +112,7 @@ struct LedgerKey {
     set: u32,
     usable_budget: u64,
     granularity: u64,
-    /// [`RecomputeMode::as_u8`] — the available planes change the
+    /// [`RecomputeMode::as_u8`](crate::dp::RecomputeMode::as_u8) — the available planes change the
     /// cheapest-memory assignment, so feasibility windows never cross
     /// modes.
     recompute: u8,
@@ -120,14 +126,15 @@ struct Stamped<V> {
     stamp: u64,
 }
 
-/// A sharded hash map: short critical sections, concurrent shards.
-/// Unbounded by default; [`Sharded::set_cap`] arms per-shard LRU eviction
-/// for long-lived owners (the serve daemon's engine), with evictions
-/// counted in the shared counter. Evicting only forgets a memoized kernel
-/// — the estimator recomputes the identical value on the next ask — so no
-/// cap setting can change a plan.
+/// A sharded hash map: short critical sections, concurrent shards. The
+/// memo store behind the kernel intern tables, the feasibility ledger and
+/// the planner's stage-DP cache. Unbounded by default; [`Sharded::set_cap`]
+/// arms per-shard LRU eviction for long-lived owners (the serve daemon's
+/// engine and cache), with evictions counted in the shared counter.
+/// Evicting only forgets memoized work — the next ask recomputes the
+/// identical value — so no cap setting can change a plan.
 #[derive(Debug)]
-struct Sharded<K, V> {
+pub struct Sharded<K, V> {
     shards: [Mutex<HashMap<K, Stamped<V>>>; SHARDS],
     clock: AtomicU64,
     evictions: AtomicUsize,
@@ -147,7 +154,10 @@ impl<K, V> Default for Sharded<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
-    fn set_cap(&mut self, max_entries: usize) {
+    /// Bound the map to `max_entries` (enforced per shard as
+    /// `max_entries / SHARDS`, at least 1, so the total never overshoots),
+    /// evicting the least recently touched entries beyond it.
+    pub fn set_cap(&mut self, max_entries: usize) {
         self.shard_cap = Some((max_entries / SHARDS).max(1));
     }
 
@@ -157,7 +167,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    fn get(&self, key: &K) -> Option<V> {
+    /// The value under `key`, refreshing its recency stamp.
+    pub fn get(&self, key: &K) -> Option<V> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).lock();
         shard.get_mut(key).map(|entry| {
@@ -166,7 +177,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
         })
     }
 
-    fn insert(&self, key: K, value: V) {
+    /// Store `value` under `key`, evicting beyond the cap.
+    pub fn insert(&self, key: K, value: V) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(&key).lock();
         shard.insert(key, Stamped { value, stamp });
@@ -183,12 +195,19 @@ impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
         }
     }
 
-    fn evictions(&self) -> usize {
+    /// Entries evicted by the cap so far (always 0 unbounded).
+    pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    fn len(&self) -> usize {
+    /// Entries held.
+    pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// Whether the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -231,14 +250,6 @@ pub struct IncrementalCounters {
     pub ledger_hits: usize,
     /// Feasibility questions that had to be computed.
     pub ledger_misses: usize,
-    /// Full stage-DP solves short-circuited to `None` because the ledger
-    /// already knew a smaller stash was infeasible.
-    pub warm_start_prunes: usize,
-    /// Stage solves answered by the arena fast path.
-    pub arena_solves: usize,
-    /// `(layer, strategy)` slots removed by the arena's dominance
-    /// prefilter across those solves.
-    pub dominated_pruned: usize,
 }
 
 impl IncrementalCounters {
@@ -249,9 +260,6 @@ impl IncrementalCounters {
             intern_misses: self.intern_misses - earlier.intern_misses,
             ledger_hits: self.ledger_hits - earlier.ledger_hits,
             ledger_misses: self.ledger_misses - earlier.ledger_misses,
-            warm_start_prunes: self.warm_start_prunes - earlier.warm_start_prunes,
-            arena_solves: self.arena_solves - earlier.arena_solves,
-            dominated_pruned: self.dominated_pruned - earlier.dominated_pruned,
         }
     }
 
@@ -349,13 +357,12 @@ struct FeasibilityWindow {
     min_infeasible: Option<u64>,
 }
 
-/// The monotone-memory warm-start ledger (see module docs).
+/// The monotone-memory feasibility ledger (see module docs).
 #[derive(Debug, Default)]
 pub struct FeasibilityLedger {
     windows: Sharded<LedgerKey, FeasibilityWindow>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    prunes: AtomicUsize,
 }
 
 impl FeasibilityLedger {
@@ -412,8 +419,6 @@ impl FeasibilityLedger {
 pub struct IncrementalEngine {
     table: EvalTable,
     ledger: FeasibilityLedger,
-    arena_solves: AtomicUsize,
-    dominated_pruned: AtomicUsize,
 }
 
 impl IncrementalEngine {
@@ -442,8 +447,8 @@ impl IncrementalEngine {
     }
 
     /// Bind the engine to one (estimator, model) context. The returned
-    /// handle implements both [`StageCostProvider`] (kernel interning) and
-    /// [`StageDp`] (ledger-gated incremental solving).
+    /// handle is the interning [`StageCostProvider`] and the ledger-backed
+    /// [`feasible`](BoundIncrementalDp::feasible) screen.
     pub fn bind<'a>(
         &'a self,
         estimator: &CostEstimator,
@@ -462,9 +467,6 @@ impl IncrementalEngine {
             intern_misses: self.table.misses.load(Ordering::Relaxed),
             ledger_hits: self.ledger.hits.load(Ordering::Relaxed),
             ledger_misses: self.ledger.misses.load(Ordering::Relaxed),
-            warm_start_prunes: self.ledger.prunes.load(Ordering::Relaxed),
-            arena_solves: self.arena_solves.load(Ordering::Relaxed),
-            dominated_pruned: self.dominated_pruned.load(Ordering::Relaxed),
         }
     }
 
@@ -473,7 +475,7 @@ impl IncrementalEngine {
         &self.table
     }
 
-    /// The warm-start ledger.
+    /// The feasibility ledger.
     pub fn ledger(&self) -> &FeasibilityLedger {
         &self.ledger
     }
@@ -487,59 +489,32 @@ pub struct BoundIncrementalDp<'a> {
 }
 
 impl BoundIncrementalDp<'_> {
-    fn ledger_key(
-        &self,
-        layer_range: &Range<usize>,
-        set_id: u32,
-        budget: u64,
-        gran: u64,
-        recompute: RecomputeMode,
-    ) -> LedgerKey {
-        LedgerKey {
-            ctx: self.ctx,
-            layer_start: layer_range.start as u32,
-            layer_end: layer_range.end as u32,
-            set: set_id,
-            usable_budget: budget,
-            granularity: gran,
-            recompute: recompute.as_u8(),
-        }
-    }
-
-    /// Ledger-accelerated [`dp_feasible`](crate::dp::dp_feasible): answer
-    /// from the monotone window when possible, otherwise compute through
-    /// the intern table and widen the window.
-    #[allow(clippy::too_many_arguments)]
+    /// Ledger-accelerated [`dp_feasible`]: answer from the monotone window
+    /// of the query's (stage shape, set, budget, granularity, recompute)
+    /// key when it covers the query's stash, otherwise compute through the
+    /// intern table and widen the window.
     pub fn feasible(
         &self,
         estimator: &CostEstimator,
         model: &ModelSpec,
-        layer_range: Range<usize>,
-        set: &StrategySet,
-        usable_budget: u64,
-        granularity: u64,
-        act_stash_batch: u64,
-        recompute: RecomputeMode,
+        q: &StageDpQuery<'_>,
     ) -> bool {
-        let set_id = self.engine.table.intern_set(set);
-        let key = self.ledger_key(&layer_range, set_id, usable_budget, granularity, recompute);
-        if let Some(answer) = self.engine.ledger.lookup(&key, act_stash_batch) {
+        let key = LedgerKey {
+            ctx: self.ctx,
+            layer_start: q.layer_start as u32,
+            layer_end: q.layer_end as u32,
+            set: self.engine.table.intern_set(q.set),
+            usable_budget: q.usable_budget,
+            granularity: q.granularity,
+            recompute: q.recompute.as_u8(),
+        };
+        if let Some(answer) = self.engine.ledger.lookup(&key, q.act_stash_batch) {
             self.engine.ledger.hits.fetch_add(1, Ordering::Relaxed);
             return answer;
         }
         self.engine.ledger.misses.fetch_add(1, Ordering::Relaxed);
-        let answer = dp_feasible_with_recompute(
-            estimator,
-            model,
-            layer_range,
-            set,
-            usable_budget,
-            granularity,
-            act_stash_batch,
-            recompute,
-            self,
-        );
-        self.engine.ledger.record(&key, act_stash_batch, answer);
+        let answer = dp_feasible(estimator, model, q, self);
+        self.engine.ledger.record(&key, q.act_stash_batch, answer);
         answer
     }
 }
@@ -710,64 +685,12 @@ impl StageCostProvider for BoundIncrementalDp<'_> {
     }
 }
 
-impl StageDp for BoundIncrementalDp<'_> {
-    fn solve(
-        &self,
-        estimator: &CostEstimator,
-        model: &ModelSpec,
-        q: &StageDpQuery<'_>,
-    ) -> Result<Option<DpResult>, ClusterError> {
-        let range = q.layer_start..q.layer_end;
-        let set_id = self.engine.table.intern_set(q.set);
-        let key = self.ledger_key(&range, set_id, q.usable_budget, q.granularity, q.recompute);
-        // Monotone-memory warm start: a stash already known infeasible at a
-        // smaller batch cannot become feasible at a larger one, so skip the
-        // whole solve. (`Some(true)` still requires the full solve — the
-        // ledger knows feasibility, not the optimum.)
-        if self.engine.ledger.lookup(&key, q.act_stash_batch) == Some(false) {
-            self.engine.ledger.prunes.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        // The arena fast path (bit-identical to `dp_search_with_provider`;
-        // see `crate::arena`), with kernels still routed through the intern
-        // table — class deduplication shrinks the table traffic, interning
-        // shares the surviving queries across solves.
-        let out = with_thread_arena(|arena| {
-            let dominated_before = arena.dominated_slots();
-            let out = dp_search_arena(
-                estimator,
-                model,
-                range,
-                q.base_device,
-                q.set,
-                q.stage_batch,
-                q.usable_budget,
-                q.granularity,
-                q.micro_batches,
-                q.act_stash_batch,
-                q.recompute,
-                self,
-                arena,
-            )?;
-            self.engine.arena_solves.fetch_add(1, Ordering::Relaxed);
-            self.engine.dominated_pruned.fetch_add(
-                (arena.dominated_slots() - dominated_before) as usize,
-                Ordering::Relaxed,
-            );
-            Ok::<_, ClusterError>(out)
-        })?;
-        self.engine
-            .ledger
-            .record(&key, q.act_stash_batch, out.is_some());
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::DirectStageDp;
-    use crate::dp::dp_search_with_micro_batches;
+    use crate::arena::ArenaStageDp;
+    use crate::dp::{DirectCosts, StageDp};
+    use crate::reference::DirectStageDp;
     use galvatron_cluster::{rtx_titan_node, GIB, MIB};
     use galvatron_estimator::EstimatorConfig;
     use galvatron_model::BertConfig;
@@ -790,16 +713,9 @@ mod tests {
 
     fn query<'a>(set: &'a StrategySet, model: &ModelSpec, stash: u64) -> StageDpQuery<'a> {
         StageDpQuery {
-            layer_start: 0,
-            layer_end: model.n_layers(),
-            base_device: 0,
-            set,
-            stage_batch: 16,
-            usable_budget: 12 * GIB,
-            granularity: 32 * MIB,
             micro_batches: 2,
             act_stash_batch: stash,
-            recompute: RecomputeMode::Off,
+            ..StageDpQuery::new(0..model.n_layers(), set, 16, 12 * GIB, 32 * MIB)
         }
     }
 
@@ -810,13 +726,14 @@ mod tests {
         let set = DecisionTreeBuilder::new(8).strategies();
         let engine = IncrementalEngine::new();
         let bound = engine.bind(&est, &model);
+        let interned = ArenaStageDp::new(&bound);
         for stash in [4u64, 8, 16] {
             let q = query(&set, &model, stash);
             let direct = DirectStageDp.solve(&est, &model, &q).unwrap();
-            let incremental = bound.solve(&est, &model, &q).unwrap();
+            let incremental = interned.solve(&est, &model, &q).unwrap();
             assert_eq!(direct, incremental, "stash {stash}");
             // And again, now fully from the intern table.
-            let replay = bound.solve(&est, &model, &q).unwrap();
+            let replay = interned.solve(&est, &model, &q).unwrap();
             assert_eq!(direct, replay, "stash {stash} (replay)");
         }
         let counters = engine.counters();
@@ -834,10 +751,11 @@ mod tests {
         let set = DecisionTreeBuilder::new(8).strategies();
         let engine = IncrementalEngine::bounded(48);
         let bound = engine.bind(&est, &model);
+        let interned = ArenaStageDp::new(&bound);
         for stash in [4u64, 8, 16, 4, 8, 16] {
             let q = query(&set, &model, stash);
             let direct = DirectStageDp.solve(&est, &model, &q).unwrap();
-            let incremental = bound.solve(&est, &model, &q).unwrap();
+            let incremental = interned.solve(&est, &model, &q).unwrap();
             assert_eq!(direct, incremental, "stash {stash}");
         }
         assert!(engine.evictions() > 0, "cap of 48 must force evictions");
@@ -851,59 +769,23 @@ mod tests {
     }
 
     #[test]
-    fn ledger_prunes_monotonically_infeasible_solves() {
-        let est = estimator();
-        let model = tiny_bert(4);
-        let set = DecisionTreeBuilder::new(8).strategies();
-        let engine = IncrementalEngine::new();
-        let bound = engine.bind(&est, &model);
-        // A budget so tight that stash 32 is infeasible.
-        let mut q = query(&set, &model, 32);
-        q.usable_budget = 2 * GIB;
-        let direct = DirectStageDp.solve(&est, &model, &q).unwrap();
-        assert!(direct.is_none(), "budget chosen to be infeasible");
-        assert!(bound.solve(&est, &model, &q).unwrap().is_none());
-        assert_eq!(engine.counters().warm_start_prunes, 0);
-        // A larger stash must be pruned without a solve, and still agree
-        // with the direct path.
-        q.act_stash_batch = 64;
-        assert!(DirectStageDp.solve(&est, &model, &q).unwrap().is_none());
-        assert!(bound.solve(&est, &model, &q).unwrap().is_none());
-        assert_eq!(engine.counters().warm_start_prunes, 1);
-    }
-
-    #[test]
     fn ledger_feasibility_matches_dp_feasible() {
         let est = estimator();
         let model = tiny_bert(4);
         let set = DecisionTreeBuilder::new(8).strategies();
         let engine = IncrementalEngine::new();
         let bound = engine.bind(&est, &model);
-        let granularity = 32 * MIB;
         for budget in [2 * GIB, 6 * GIB, 12 * GIB] {
             // Descending stash order: the second and third answers come
             // straight from the monotone window when the first was decisive.
             for stash in [32u64, 16, 8] {
-                let expected = crate::dp::dp_feasible(
-                    &est,
-                    &model,
-                    0..model.n_layers(),
-                    &set,
-                    budget,
-                    granularity,
-                    stash,
+                let q = StageDpQuery::new(0..model.n_layers(), &set, stash, budget, 32 * MIB);
+                let expected = dp_feasible(&est, &model, &q, &DirectCosts);
+                assert_eq!(
+                    bound.feasible(&est, &model, &q),
+                    expected,
+                    "budget {budget} stash {stash}"
                 );
-                let got = bound.feasible(
-                    &est,
-                    &model,
-                    0..model.n_layers(),
-                    &set,
-                    budget,
-                    granularity,
-                    stash,
-                    RecomputeMode::Off,
-                );
-                assert_eq!(got, expected, "budget {budget} stash {stash}");
             }
         }
         let counters = engine.counters();
@@ -924,10 +806,10 @@ mod tests {
         assert_eq!(engine.bind(&est, &model_a).ctx, a.ctx);
         let set = DecisionTreeBuilder::new(8).strategies();
         let qa = query(&set, &model_a, 8);
-        a.solve(&est, &model_a, &qa).unwrap();
+        ArenaStageDp::new(&a).solve(&est, &model_a, &qa).unwrap();
         let before = engine.counters();
         let qb = query(&set, &model_b, 8);
-        b.solve(&est, &model_b, &qb).unwrap();
+        ArenaStageDp::new(&b).solve(&est, &model_b, &qb).unwrap();
         let delta = engine.counters().since(&before);
         assert_eq!(
             delta.intern_hits, 0,
@@ -945,23 +827,14 @@ mod tests {
         let set = DecisionTreeBuilder::new(8).strategies();
         let engine = IncrementalEngine::new();
         let bound = engine.bind(&est, &model);
+        let interned = ArenaStageDp::new(&bound);
         for micro_batches in [1usize, 2, 4] {
-            let direct = dp_search_with_micro_batches(
-                &est,
-                &model,
-                0..model.n_layers(),
-                0,
-                &set,
-                16,
-                12 * GIB,
-                32 * MIB,
+            let q = StageDpQuery {
                 micro_batches,
-                16,
-            )
-            .unwrap();
-            let mut q = query(&set, &model, 16);
-            q.micro_batches = micro_batches;
-            let incremental = bound.solve(&est, &model, &q).unwrap();
+                ..query(&set, &model, 16)
+            };
+            let direct = DirectStageDp.solve(&est, &model, &q).unwrap();
+            let incremental = interned.solve(&est, &model, &q).unwrap();
             assert_eq!(direct, incremental, "micro_batches {micro_batches}");
         }
     }

@@ -11,7 +11,10 @@
 //! 3. builds the per-group candidate strategy set from the decision trees
 //!    of §3.2,
 //! 4. runs the dynamic program of Eq. 1 per stage to pick one hybrid
-//!    strategy per layer minimising stage time under the budget,
+//!    strategy per layer minimising stage time under the budget — one
+//!    [`StageDpQuery`] answered by a [`StageDp`]: the reference solver
+//!    ([`reference::solve`], [`reference::DirectStageDp`]) for the serial
+//!    baseline and the oracle suites, [`ArenaStageDp`] in production,
 //! 5. tunes the GPipe micro-batch count, and
 //! 6. keeps the `(B, P, plan)` with the highest estimated throughput,
 //!    stopping once no strategy fits the budget at the current batch.
@@ -25,16 +28,15 @@ pub mod explain;
 pub mod incremental;
 pub mod optimizer;
 pub mod partition;
+pub mod reference;
 
 pub use arena::{dominance_masks, dp_search_arena, with_thread_arena, ArenaStageDp, DpArena};
 pub use candidate::{
-    evaluate_candidate, micro_batch_candidates, runnable_set, stage_bound_sets, strategy_sets,
-    CandidateOutcome, CandidateResult, CandidateSpec, DirectStageDp, StageDp, StageDpQuery,
+    evaluate_candidate, micro_batch_candidates, runnable_set, stage_bound_sets, stage_queries,
+    strategy_sets, CandidateOutcome, CandidateResult, CandidateSpec,
 };
 pub use dp::{
-    dp_feasible, dp_feasible_with_provider, dp_feasible_with_recompute, dp_search,
-    dp_search_with_micro_batches, dp_search_with_provider, dp_search_with_recompute, DirectCosts,
-    DpResult, RecomputeMode, StageCostProvider,
+    dp_feasible, DirectCosts, DpResult, RecomputeMode, StageCostProvider, StageDp, StageDpQuery,
 };
 pub use explain::{explain_plan, LayerExplanation, PlanExplanation, StageExplanation};
 pub use incremental::{

@@ -6,14 +6,19 @@
 //! The sweep stops at the first batch size where *no* configuration fits the
 //! memory budget (memory use is monotone in batch, so nothing larger fits
 //! either) — Algorithm 1 lines 14–18.
+//!
+//! [`GalvatronOptimizer`] is the serial reference baseline: every stage goes
+//! through the reference solver, in sweep order, with no reuse. Production
+//! planning runs the same sweep through `galvatron-planner`, which must
+//! match it bit for bit.
 
 use crate::candidate::{
     evaluate_candidate, micro_batch_candidates, stage_bound_sets, strategy_sets, CandidateResult,
-    CandidateSpec, DirectStageDp, StageDp,
+    CandidateSpec,
 };
 use crate::dp::RecomputeMode;
-use crate::incremental::IncrementalEngine;
 use crate::partition::PipelinePartitioner;
+use crate::reference::DirectStageDp;
 use galvatron_cluster::{ClusterError, ClusterTopology, MIB};
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::ModelSpec;
@@ -146,12 +151,14 @@ pub struct SearchStats {
     /// engine).
     #[serde(default)]
     pub ledger_misses: usize,
-    /// Full stage-DP solves skipped outright because the ledger already
-    /// knew a smaller batch was infeasible (0 without an engine).
+    /// No longer incremented: always 0. The planner screens every stage
+    /// with the exact feasibility check before dispatching it, so a
+    /// solve-time ledger gate never had anything left to prune and was
+    /// removed. Kept so serialized stats and existing readers stay valid.
     #[serde(default)]
     pub warm_start_prunes: usize,
-    /// Stage solves answered by the arena fast path (0 on the serial
-    /// reference path, which deliberately keeps the historical solver).
+    /// Stage solves answered by the arena solver (0 on the serial
+    /// reference path, which deliberately keeps the reference solver).
     #[serde(default)]
     pub arena_solves: usize,
     /// `(layer, strategy)` slots removed by the arena's dominance
@@ -226,9 +233,6 @@ impl SearchStats {
         registry
             .counter("dp_ledger_misses")
             .inc_by(self.ledger_misses as u64);
-        registry
-            .counter("dp_warm_start_prunes")
-            .inc_by(self.warm_start_prunes as u64);
         registry
             .counter("dp_arena_solves")
             .inc_by(self.arena_solves as u64);
@@ -325,46 +329,10 @@ impl GalvatronOptimizer {
         topology: &ClusterTopology,
         budget_bytes: u64,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        self.optimize_inner(model, topology, budget_bytes, None)
-    }
-
-    /// [`optimize`](Self::optimize) through an [`IncrementalEngine`]: the
-    /// same sweep, but every kernel evaluation is interned in the engine's
-    /// shared table and memory-infeasible stage queries are pruned by its
-    /// monotone ledger. Plans are bit-identical to the serial path (the
-    /// table replays the estimator's own earlier returns); the engine
-    /// outlives the call, so a second search over the same (model,
-    /// topology) context — or a neighbouring batch sweep — starts warm.
-    /// Reuse accounting lands in the outcome's
-    /// [`SearchStats::intern_hits`] / [`SearchStats::ledger_hits`] /
-    /// [`SearchStats::warm_start_prunes`].
-    pub fn optimize_incremental(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        engine: &IncrementalEngine,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        self.optimize_inner(model, topology, budget_bytes, Some(engine))
-    }
-
-    fn optimize_inner(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        engine: Option<&IncrementalEngine>,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
         let started = Instant::now();
         let estimator = CostEstimator::new(topology.clone(), self.config.estimator.clone());
         let n = topology.n_devices();
         let mut stats = SearchStats::default();
-        let counters_before = engine.map(|e| e.counters());
-        let bound = engine.map(|e| e.bind(&estimator, model));
-        let dp: &dyn StageDp = match &bound {
-            Some(b) => b,
-            None => &DirectStageDp,
-        };
 
         // Candidate PP degrees (Algorithm 1 line 4), their strategy sets
         // (line 7) and the stage-bound alternatives — none depend on the
@@ -419,7 +387,7 @@ impl GalvatronOptimizer {
                             full_set,
                             &spec,
                             stage_budgets,
-                            dp,
+                            &DirectStageDp,
                         )?;
                         if out.dp_invocations > 0 {
                             let secs = candidate_started.elapsed().as_secs_f64();
@@ -478,16 +446,6 @@ impl GalvatronOptimizer {
         }
 
         stats.search_seconds = started.elapsed().as_secs_f64();
-        if let (Some(before), Some(engine)) = (counters_before, engine) {
-            let delta = engine.counters().since(&before);
-            stats.intern_hits = delta.intern_hits;
-            stats.intern_misses = delta.intern_misses;
-            stats.ledger_hits = delta.ledger_hits;
-            stats.ledger_misses = delta.ledger_misses;
-            stats.warm_start_prunes = delta.warm_start_prunes;
-            stats.arena_solves = delta.arena_solves;
-            stats.dominated_pruned = delta.dominated_pruned;
-        }
         stats.record_to(self.obs.registry());
         self.obs
             .span("dp_search")
@@ -633,37 +591,6 @@ mod tests {
             batch_candidates(6, 20, true),
             vec![1, 2, 4, 6, 8, 12, 16, 18]
         );
-    }
-
-    #[test]
-    fn incremental_optimize_matches_serial_bit_for_bit() {
-        let topo = rtx_titan_node(8);
-        let model = PaperModel::VitHuge32.spec();
-        let opt = GalvatronOptimizer::new(fast_config());
-        let serial = opt
-            .optimize(&model, &topo, 8 * GIB)
-            .unwrap()
-            .expect("feasible");
-        let engine = IncrementalEngine::new();
-        let cold = opt
-            .optimize_incremental(&model, &topo, 8 * GIB, &engine)
-            .unwrap()
-            .expect("feasible");
-        assert_eq!(serial.plan, cold.plan);
-        assert_eq!(
-            serial.throughput_samples_per_sec,
-            cold.throughput_samples_per_sec
-        );
-        assert_eq!(serial.iteration_time, cold.iteration_time);
-        assert!(cold.stats.intern_hits > 0, "{:?}", cold.stats);
-        // A second search over the live engine is warm: still the same
-        // plan, now with a higher intern hit rate.
-        let warm = opt
-            .optimize_incremental(&model, &topo, 8 * GIB, &engine)
-            .unwrap()
-            .expect("feasible");
-        assert_eq!(serial.plan, warm.plan);
-        assert_eq!(warm.stats.intern_misses, 0, "{:?}", warm.stats);
     }
 
     #[test]

@@ -352,8 +352,9 @@ impl CostEstimator {
         let mut stage_peaks = Vec::with_capacity(plan.stages.len());
         let mut max_tail = 0.0f64;
         for (i, stage) in plan.stages.iter().enumerate() {
-            let in_flight = plan.schedule.in_flight(i, p_degree, plan.micro_batches) as u64;
-            let act_batch = (plan.micro_batch_size() as u64 * in_flight).min(batch);
+            let act_batch =
+                plan.schedule
+                    .stash_samples(i, p_degree, plan.micro_batches, plan.global_batch);
             let cost =
                 self.stage_cost_with_stash(model, stage, batch, plan.micro_batches, act_batch)?;
             stage_times.push(cost.time - cost.sync_tail);

@@ -12,7 +12,7 @@
 //! the workspace root.
 
 use galvatron_cluster::{mixed_a100_rtx_cluster, GIB};
-use galvatron_core::{IncrementalEngine, OptimizerConfig};
+use galvatron_core::OptimizerConfig;
 use galvatron_hetero::{AdvisorQuery, AdvisorReport, ClusterAdvisor, HeteroPlanner};
 use galvatron_model::PaperModel;
 use serde::Serialize;
@@ -81,7 +81,6 @@ fn main() {
     let started = Instant::now();
     let topology = mixed_a100_rtx_cluster(1, 1, 8);
     let planner = HeteroPlanner::new(config());
-    let engine = IncrementalEngine::new();
 
     let mut rows = Vec::new();
     let mut gate_points = Vec::new();
@@ -89,7 +88,7 @@ fn main() {
         let spec = model.spec();
         for budget_gib in BUDGETS_GIB {
             let evals = planner
-                .evaluate_deployments(&spec, &topology, budget_gib * GIB, Some(&engine))
+                .evaluate_deployments(&spec, &topology, budget_gib * GIB)
                 .expect("catalog topology is well-formed");
             let deployments: Vec<DeploymentRow> = evals
                 .iter()

@@ -7,9 +7,9 @@
 //! * [`ClusterTopology::stage_usable_budgets`] sizes each pipeline stage to
 //!   its own island's physical memory, and the capacity-aware layer
 //!   allocation in `stage_bound_sets` skews layers toward faster islands —
-//!   so [`GalvatronOptimizer`] already *searches* heterogeneous clusters
-//!   correctly. On any homogeneous topology those budgets collapse to the
-//!   legacy single value and the search is bit-identical to before.
+//!   so Algorithm 1 already *searches* heterogeneous clusters correctly. On
+//!   any homogeneous topology those budgets collapse to the legacy single
+//!   value and the search is bit-identical to before.
 //! * [`HeteroPlanner`] adds the missing *economics*: a dual objective.
 //!   [`Objective::Time`] minimizes iteration time on the full cluster
 //!   (exactly the classic search). [`Objective::Cost`] maximizes
@@ -21,6 +21,11 @@
 //!   cheapest device mix that trains this model in under T hours?"* — a
 //!   deterministic sweep over [`DeviceType`] island mixes.
 //!
+//! Every search runs through the production planner,
+//! [`ParallelPlanner`] (arena DP, memoization cache, interned kernels,
+//! bound pruning), whose plans are bit-identical to the serial reference
+//! [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer).
+//!
 //! [`ClusterTopology::stage_usable_budgets`]:
 //!     galvatron_cluster::ClusterTopology::stage_usable_budgets
 
@@ -30,9 +35,10 @@ use galvatron_cluster::{
     island_cluster, mixed_a100_rtx_cluster, ClusterError, ClusterTopology, DeviceType,
     TopologyLevel,
 };
-use galvatron_core::{GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig};
+use galvatron_core::{OptimizeOutcome, OptimizerConfig};
 use galvatron_model::ModelSpec;
 use galvatron_obs::Obs;
+use galvatron_planner::ParallelPlanner;
 use serde::{Deserialize, Serialize};
 
 /// What the hetero planner optimizes for.
@@ -40,7 +46,7 @@ use serde::{Deserialize, Serialize};
 pub enum Objective {
     /// Maximize throughput on the full cluster (minimum iteration time) —
     /// the paper's Algorithm 1, bit-identical to
-    /// [`GalvatronOptimizer::optimize_incremental`].
+    /// [`GalvatronOptimizer::optimize`](galvatron_core::GalvatronOptimizer::optimize).
     Time,
     /// Maximize throughput per dollar across island-aligned sub-cluster
     /// deployments. Falls back to [`Objective::Time`] on unpriced clusters
@@ -228,15 +234,16 @@ pub struct HeteroOutcome {
 /// The heterogeneous-cluster planner: Algorithm 1 under a dual objective.
 #[derive(Debug, Clone)]
 pub struct HeteroPlanner {
-    optimizer: GalvatronOptimizer,
+    planner: ParallelPlanner,
     obs: Obs,
 }
 
 impl HeteroPlanner {
-    /// Build a planner.
+    /// Build a planner over the default parallel front-end (every core,
+    /// memoization, interned kernels and pruning on).
     pub fn new(config: OptimizerConfig) -> Self {
         HeteroPlanner {
-            optimizer: GalvatronOptimizer::new(config),
+            planner: ParallelPlanner::with_optimizer(config),
             obs: Obs::noop(),
         }
     }
@@ -244,7 +251,7 @@ impl HeteroPlanner {
     /// Attach telemetry: plans land in `hetero_plans_total{objective=..}`,
     /// per-deployment searches in `hetero_candidates_total{mix=..}`.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.optimizer = self.optimizer.clone().with_obs(obs.clone());
+        self.planner = self.planner.clone().with_obs(obs.clone());
         self.obs = obs;
         self
     }
@@ -257,47 +264,6 @@ impl HeteroPlanner {
         topology: &ClusterTopology,
         budget_bytes: u64,
         objective: Objective,
-    ) -> Result<Option<HeteroOutcome>, ClusterError> {
-        self.plan_inner(model, topology, budget_bytes, objective, None)
-    }
-
-    /// [`plan`](Self::plan) through a shared [`IncrementalEngine`]: every
-    /// deployment's search interns kernels in the engine, so the advisor
-    /// sweep and repeated plans start warm. Bit-identical outcomes.
-    pub fn plan_incremental(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        objective: Objective,
-        engine: &IncrementalEngine,
-    ) -> Result<Option<HeteroOutcome>, ClusterError> {
-        self.plan_inner(model, topology, budget_bytes, objective, Some(engine))
-    }
-
-    fn optimize(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        engine: Option<&IncrementalEngine>,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        match engine {
-            Some(engine) => {
-                self.optimizer
-                    .optimize_incremental(model, topology, budget_bytes, engine)
-            }
-            None => self.optimizer.optimize(model, topology, budget_bytes),
-        }
-    }
-
-    fn plan_inner(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        objective: Objective,
-        engine: Option<&IncrementalEngine>,
     ) -> Result<Option<HeteroOutcome>, ClusterError> {
         let registry = self.obs.registry_arc();
         registry
@@ -315,7 +281,7 @@ impl HeteroPlanner {
             registry
                 .counter_with("hetero_candidates_total", &[("mix", &mix)])
                 .inc();
-            let Some(outcome) = self.optimize(model, topology, budget_bytes, engine)? else {
+            let Some(outcome) = self.planner.optimize(model, topology, budget_bytes)? else {
                 return Ok(None);
             };
             let price = topology.price_per_hour();
@@ -338,7 +304,7 @@ impl HeteroPlanner {
         // most samples per dollar. Strict improvement with the fixed
         // enumeration order makes ties deterministic (first wins).
         let mut best: Option<HeteroOutcome> = None;
-        for eval in self.evaluate_deployments(model, topology, budget_bytes, engine)? {
+        for eval in self.evaluate_deployments(model, topology, budget_bytes)? {
             let Some(outcome) = eval.outcome else {
                 continue;
             };
@@ -372,7 +338,6 @@ impl HeteroPlanner {
         model: &ModelSpec,
         topology: &ClusterTopology,
         budget_bytes: u64,
-        engine: Option<&IncrementalEngine>,
     ) -> Result<Vec<DeploymentEval>, ClusterError> {
         let registry = self.obs.registry_arc();
         let mut out = Vec::new();
@@ -381,7 +346,7 @@ impl HeteroPlanner {
                 .counter_with("hetero_candidates_total", &[("mix", &deployment.mix)])
                 .inc();
             let budget = deployment_budget(&deployment.topology, budget_bytes);
-            let outcome = self.optimize(model, &deployment.topology, budget, engine)?;
+            let outcome = self.planner.optimize(model, &deployment.topology, budget)?;
             let price = deployment.topology.price_per_hour();
             let spd = outcome.as_ref().map_or(0.0, |o| {
                 samples_per_dollar(o.throughput_samples_per_sec, price)
@@ -486,7 +451,6 @@ impl ClusterAdvisor {
         query: &AdvisorQuery,
     ) -> Result<AdvisorReport, ClusterError> {
         let started = std::time::Instant::now();
-        let engine = IncrementalEngine::new();
         let mut candidates: Vec<AdvisorCandidate> = Vec::new();
         let mut recommendation: Option<usize> = None;
         for a100 in 0..=query.max_islands_per_type {
@@ -499,13 +463,9 @@ impl ClusterAdvisor {
                     (DeviceType::A100, a100 * query.per_island),
                     (DeviceType::RtxTitan, rtx * query.per_island),
                 ]);
-                let outcome = self.planner.plan_incremental(
-                    model,
-                    &topology,
-                    query.budget_bytes,
-                    Objective::Time,
-                    &engine,
-                )?;
+                let outcome =
+                    self.planner
+                        .plan(model, &topology, query.budget_bytes, Objective::Time)?;
                 let price = topology.price_per_hour();
                 let throughput = outcome
                     .as_ref()
@@ -560,6 +520,7 @@ fn mix_topology(a100_islands: usize, rtx_islands: usize, per_island: usize) -> C
 mod tests {
     use super::*;
     use galvatron_cluster::{rtx_titan_node, rtx_titan_nodes, GIB};
+    use galvatron_core::GalvatronOptimizer;
     use galvatron_model::BertConfig;
 
     fn small_model() -> ModelSpec {

@@ -1,7 +1,7 @@
 //! Property suite for the hetero planner.
 //!
 //! Two contracts: (1) on *any homogeneous* topology the hetero path is a
-//! bit-identical wrapper around the classic incremental optimizer — same
+//! bit-identical wrapper around the classic serial optimizer — same
 //! plan bytes, same throughput and iteration-time bit patterns; (2) on
 //! mixed-island clusters no plan ever assigns a pipeline stage more peak
 //! memory than its island's device type physically provides.
@@ -10,7 +10,7 @@ use galvatron_cluster::{
     island_cluster, mixed_a100_rtx_cluster, rtx_titan_node, rtx_titan_nodes, ClusterTopology,
     DeviceType, GIB,
 };
-use galvatron_core::{GalvatronOptimizer, IncrementalEngine, OptimizerConfig};
+use galvatron_core::{GalvatronOptimizer, OptimizerConfig};
 use galvatron_estimator::CostEstimator;
 use galvatron_hetero::{HeteroPlanner, Objective};
 use galvatron_model::{BertConfig, ModelSpec};
@@ -51,7 +51,7 @@ proptest! {
     })]
 
     /// Homogeneous bit-identity: the hetero Time objective must be an
-    /// exact pass-through to `optimize_incremental` — serialized plan
+    /// exact pass-through to the serial `optimize` — serialized plan
     /// bytes and f64 bit patterns equal — on priced and unpriced
     /// homogeneous topologies alike.
     #[test]
@@ -63,13 +63,11 @@ proptest! {
         let topology = homogeneous_topology(topo_idx);
         prop_assert!(!topology.is_heterogeneous());
         let spec = model(layers);
-        let engine = IncrementalEngine::new();
         let classic = GalvatronOptimizer::new(config())
-            .optimize_incremental(&spec, &topology, budget_gb * GIB, &engine)
+            .optimize(&spec, &topology, budget_gb * GIB)
             .unwrap();
-        let hetero_engine = IncrementalEngine::new();
         let hetero = HeteroPlanner::new(config())
-            .plan_incremental(&spec, &topology, budget_gb * GIB, Objective::Time, &hetero_engine)
+            .plan(&spec, &topology, budget_gb * GIB, Objective::Time)
             .unwrap();
         match (classic, hetero) {
             (None, None) => {}

@@ -69,9 +69,8 @@ pub fn throughput_upper_bound(
 mod tests {
     use super::*;
     use galvatron_cluster::rtx_titan_node;
-    use galvatron_core::{
-        evaluate_candidate, strategy_sets, CandidateResult, DirectStageDp, OptimizerConfig,
-    };
+    use galvatron_core::reference::DirectStageDp;
+    use galvatron_core::{evaluate_candidate, strategy_sets, CandidateResult, OptimizerConfig};
     use galvatron_estimator::{CostEstimator, EstimatorConfig};
     use galvatron_model::{BertConfig, PaperModel};
 

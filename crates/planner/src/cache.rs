@@ -6,32 +6,20 @@
 //! which `(batch, PP, partitioner)` candidate asked. Two partitioner
 //! guidelines that agree on a cut, two PP degrees that share a stage shape,
 //! or two service requests over the same model all re-solve identical
-//! stages. The cache keys the *complete* input of [`dp_search`] (including
-//! an interned fingerprint of the model/topology/estimator context and of
-//! the strategy set) and returns the memoized [`DpResult`] verbatim, so a
-//! hit is bit-identical to a recompute and cannot change any plan.
-//!
-//! [`dp_search`]: galvatron_core::dp_search
+//! stages. The cache keys the *complete* [`StageDpQuery`] (with interned
+//! fingerprints of the model/topology/estimator context — see
+//! [`galvatron_core::context_fingerprint`] — and of the strategy set) and
+//! returns the memoized [`DpResult`] verbatim, so a hit is bit-identical to
+//! a recompute and cannot change any plan. [`CachedStageDp`] layers it over
+//! the planner's [`ArenaStageDp`](galvatron_core::ArenaStageDp).
 
+use galvatron_core::incremental::Sharded;
 use galvatron_core::{DpResult, StageDp, StageDpQuery};
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-const SHARDS: usize = 16;
-
-/// A memoized entry plus its last-touch stamp (a tick of the cache-wide
-/// logical clock, bumped on every hit and insert — the recency order LRU
-/// eviction walks).
-#[derive(Debug, Clone)]
-struct Stamped<V> {
-    value: V,
-    stamp: u64,
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The complete input of one stage-DP query. `context` and `set` are
 /// interner ids standing for the full (model, topology, estimator config)
@@ -87,13 +75,9 @@ impl CacheCounters {
 #[derive(Debug, Default)]
 pub struct DpCache {
     interner: Mutex<HashMap<String, usize>>,
-    shards: [Mutex<HashMap<StageDpKey, Stamped<Option<DpResult>>>>; SHARDS],
+    entries: Sharded<StageDpKey, Option<DpResult>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    evictions: AtomicUsize,
-    clock: AtomicU64,
-    /// Maximum entries per shard; `None` is unbounded.
-    shard_cap: Option<usize>,
 }
 
 impl DpCache {
@@ -108,16 +92,15 @@ impl DpCache {
     /// total can transiently undershoot the configured value when the key
     /// distribution is skewed; it never overshoots.
     pub fn bounded(max_entries: usize) -> Self {
-        DpCache {
-            shard_cap: Some((max_entries / SHARDS).max(1)),
-            ..DpCache::default()
-        }
+        let mut cache = DpCache::default();
+        cache.entries.set_cap(max_entries);
+        cache
     }
 
     /// Entries evicted by the [`bounded`](DpCache::bounded) LRU policy so
     /// far (always 0 for an unbounded cache).
     pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
+        self.entries.evictions()
     }
 
     /// Intern a full textual representation, returning a compact id. Equal
@@ -134,7 +117,7 @@ impl DpCache {
 
     /// Memoized entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.entries.len()
     }
 
     /// Whether nothing is memoized yet.
@@ -150,21 +133,8 @@ impl DpCache {
         }
     }
 
-    fn shard(&self, key: &StageDpKey) -> &Mutex<HashMap<StageDpKey, Stamped<Option<DpResult>>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
     fn get(&self, key: &StageDpKey) -> Option<Option<DpResult>> {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let found = {
-            let mut shard = self.shard(key).lock();
-            shard.get_mut(key).map(|entry| {
-                entry.stamp = stamp;
-                entry.value.clone()
-            })
-        };
+        let found = self.entries.get(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -173,41 +143,14 @@ impl DpCache {
     }
 
     fn insert(&self, key: StageDpKey, value: Option<DpResult>) {
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock();
-        shard.insert(key, Stamped { value, stamp });
-        if let Some(cap) = self.shard_cap {
-            while shard.len() > cap {
-                let oldest = shard
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.stamp)
-                    .map(|(key, _)| key.clone())
-                    .expect("non-empty shard above its cap");
-                shard.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.entries.insert(key, value);
     }
 }
 
-/// The fingerprint of everything a stage-DP answer depends on beyond the
-/// query itself. Uses the derived `Debug` forms, which print every field
-/// (including exact float bits via Rust's shortest-round-trip formatting),
-/// prefixed with the topology's structural hash
-/// ([`ClusterTopology::fingerprint`](galvatron_cluster::ClusterTopology::fingerprint))
-/// so any degradation — a lost device, a throttled link, a straggler spec —
-/// keys a disjoint cache region and re-planning can never hit stale
-/// entries from the healthy cluster. (Shared with the incremental engine's
-/// kernel intern table, which keys its contexts identically.)
-pub fn context_fingerprint(estimator: &CostEstimator, model: &ModelSpec) -> String {
-    galvatron_core::context_fingerprint(estimator, model)
-}
-
 /// The memoizing [`StageDp`]: look the query up in the shared cache, run
-/// the wrapped solver on a miss, and store the answer. The wrapped solver
-/// defaults to the direct DP but can be the incremental engine's
-/// [`BoundIncrementalDp`](galvatron_core::BoundIncrementalDp) — whole-query
-/// memoization then layers over kernel interning.
+/// the wrapped solver on a miss, and store the answer. The planner wraps
+/// its [`ArenaStageDp`](galvatron_core::ArenaStageDp), so whole-query
+/// memoization layers over kernel interning.
 pub struct CachedStageDp<'a> {
     cache: &'a DpCache,
     context: usize,
@@ -215,14 +158,9 @@ pub struct CachedStageDp<'a> {
 }
 
 impl<'a> CachedStageDp<'a> {
-    /// Build a cached solver over the direct DP for one (estimator, model)
-    /// context. The context id must come from [`DpCache::intern`] of
-    /// [`context_fingerprint`] on the same cache.
-    pub fn new(cache: &'a DpCache, context: usize) -> Self {
-        CachedStageDp::over(cache, context, &galvatron_core::DirectStageDp)
-    }
-
-    /// Build a cached solver that delegates misses to `inner`.
+    /// Build a cached solver that delegates misses to `inner`. The context
+    /// id must come from [`DpCache::intern`] of
+    /// [`galvatron_core::context_fingerprint`] on the same cache.
     pub fn over(cache: &'a DpCache, context: usize, inner: &'a dyn StageDp) -> Self {
         CachedStageDp {
             cache,
@@ -265,6 +203,10 @@ impl StageDp for CachedStageDp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galvatron_core::context_fingerprint;
+    use galvatron_core::incremental::SHARDS;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     #[test]
     fn interning_is_stable_and_collision_free() {

@@ -1,9 +1,13 @@
 //! `galvatron-planner`: the production planning front-end.
 //!
 //! [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer) runs
-//! Algorithm 1 serially. This crate runs the *same* search — the same
-//! candidate space, the same early-stop rule, the same tie-breaking — on a
-//! work-stealing worker pool, with two accelerations layered on top:
+//! Algorithm 1 serially through the reference solver — the baseline. This
+//! crate runs the *same* search — the same candidate space, the same
+//! early-stop rule, the same tie-breaking — on a work-stealing worker pool
+//! over the production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp)
+//! (fed interned kernels by the
+//! [`IncrementalEngine`](galvatron_core::IncrementalEngine) when
+//! `incremental` is on), with two accelerations layered on top:
 //!
 //! * a **shared stage-DP memoization cache** ([`DpCache`]): Eq. 1
 //!   sub-problems recur across partitioner guidelines, PP degrees, budget
@@ -155,26 +159,12 @@ impl ParallelPlanner {
         )
     }
 
-    /// [`ParallelPlanner::optimize`] against an existing (possibly warm)
-    /// shared cache — the building block of [`PlanService`]. A fresh
-    /// incremental engine is used per call when the config enables one; use
-    /// [`optimize_with_reuse`](Self::optimize_with_reuse) to keep the
-    /// kernel intern table warm across searches too.
-    pub fn optimize_with_cache(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        cache: &DpCache,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        let engine = self.config.incremental.then(IncrementalEngine::new);
-        self.run(model, topology, budget_bytes, Some(cache), engine.as_ref())
-    }
-
-    /// The fully explicit entry point: run one search against caller-owned
-    /// reuse structures — a (possibly warm) stage-DP memoization cache
-    /// and/or a (possibly warm) incremental engine. Both outlive the call,
-    /// so later searches over the same context start warm.
+    /// The fully explicit entry point — the building block of
+    /// [`PlanService`]: run one search against caller-owned reuse
+    /// structures — a (possibly warm) stage-DP memoization cache and/or a
+    /// (possibly warm) incremental engine. Both outlive the call, so later
+    /// searches over the same context start warm. `None` runs without that
+    /// layer, whatever the config's `use_cache` / `incremental` say.
     pub fn optimize_with_reuse(
         &self,
         model: &ModelSpec,
@@ -229,9 +219,6 @@ impl ParallelPlanner {
             stats.intern_misses = delta.intern_misses;
             stats.ledger_hits = delta.ledger_hits;
             stats.ledger_misses = delta.ledger_misses;
-            stats.warm_start_prunes = delta.warm_start_prunes;
-            stats.arena_solves = delta.arena_solves;
-            stats.dominated_pruned = delta.dominated_pruned;
         }
         stats.search_seconds = started.elapsed().as_secs_f64();
         stats.record_to(self.obs.registry());

@@ -2,19 +2,23 @@
 //!
 //! **Phase A (serial, cheap):** walk Algorithm 1's candidate space in the
 //! exact order of `GalvatronOptimizer::optimize`, deciding each candidate's
-//! DP feasibility with the `O(L·S)` [`dp_feasible`] check instead of the
-//! `O(L·S²·E)` DP. Feasibility is what drives the sweep's early stop (eight
-//! consecutive batches with no feasible candidate), so the planner explores
-//! *exactly* the batches the serial loop explores. Each candidate gets an
-//! ordinal recording its position in the serial visit order.
+//! DP feasibility with the `O(L·S)` [`dp_feasible`] check (through the
+//! incremental engine's ledger when enabled) instead of the `O(L·S²·E)` DP.
+//! The check runs over exactly the [`stage_queries`] Phase B later solves
+//! and is exact, so no dispatched candidate ever comes back infeasible.
+//! Feasibility is what drives the sweep's early stop (eight consecutive
+//! batches with no feasible candidate), so the planner explores *exactly*
+//! the batches the serial loop explores. Each candidate gets an ordinal
+//! recording its position in the serial visit order.
 //!
 //! **Phase B (parallel):** the feasible candidates go into a work-stealing
 //! queue and a crossbeam-scoped worker pool evaluates them with the shared
-//! single-candidate entry point [`evaluate_candidate`] — optionally through
-//! the memoization cache and behind the [`throughput_upper_bound`] pruning
-//! gate. Workers publish completed evaluations into per-candidate slots and
-//! maintain a shared atomic best-throughput watermark used *only* for
-//! pruning.
+//! single-candidate entry point [`evaluate_candidate`] through one solver
+//! stack — [`ArenaStageDp`] over the engine's interned kernels (or
+//! [`DirectCosts`]), optionally under the memoization cache — behind the
+//! [`throughput_upper_bound`] pruning gate. Workers publish completed
+//! evaluations into per-candidate slots and maintain a shared atomic
+//! best-throughput watermark used *only* for pruning.
 //!
 //! **Reduction (serial, deterministic):** the slots are scanned in ordinal
 //! order with the serial loop's strict-improvement comparison, so ties
@@ -25,14 +29,15 @@
 //! skipped: they can never win a strict-improvement scan.
 
 use crate::bound::throughput_upper_bound;
-use crate::cache::{context_fingerprint, CachedStageDp, DpCache};
+use crate::cache::{CachedStageDp, DpCache};
 use crossbeam::deque::{Injector, Steal};
 use galvatron_cluster::{ClusterError, ClusterTopology};
 use galvatron_core::optimizer::batch_candidates;
 use galvatron_core::{
-    dp_feasible_with_recompute, evaluate_candidate, micro_batch_candidates, runnable_set,
-    stage_bound_sets, strategy_sets, ArenaStageDp, BoundIncrementalDp, CandidateResult,
-    CandidateSpec, DirectCosts, IncrementalEngine, OptimizerConfig, SearchStats, StageDp,
+    context_fingerprint, dp_feasible, evaluate_candidate, micro_batch_candidates, runnable_set,
+    stage_bound_sets, stage_queries, strategy_sets, ArenaStageDp, BoundIncrementalDp,
+    CandidateResult, CandidateSpec, DirectCosts, IncrementalEngine, OptimizerConfig, SearchStats,
+    StageCostProvider, StageDp,
 };
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
@@ -123,46 +128,24 @@ fn enumerate(
             let stage_budgets = &budgets_per_set[set_index];
             for bounds in bound_sets {
                 for micro_batches in micro_batch_candidates(batch, *pp) {
-                    let micro = batch / micro_batches;
-                    let set = runnable_set(full_set, micro);
+                    let set = runnable_set(full_set, batch / micro_batches);
                     if set.is_empty() {
                         continue;
                     }
-                    let feasible = bounds.iter().enumerate().all(|(i, &(start, end))| {
-                        let in_flight = config.schedule.in_flight(i, *pp, micro_batches) as u64;
-                        let act_stash = (micro as u64 * in_flight).min(batch as u64);
+                    let spec = CandidateSpec {
+                        batch,
+                        pp: *pp,
+                        bounds: bounds.clone(),
+                        micro_batches,
+                    };
+                    let feasible = stage_queries(config, &spec, &set, n, stage_budgets).all(|q| {
                         match incremental {
-                            Some(bound) => bound.feasible(
-                                estimator,
-                                model,
-                                start..end,
-                                &set,
-                                stage_budgets[i],
-                                config.memory_granularity,
-                                act_stash,
-                                config.recompute,
-                            ),
-                            None => dp_feasible_with_recompute(
-                                estimator,
-                                model,
-                                start..end,
-                                &set,
-                                stage_budgets[i],
-                                config.memory_granularity,
-                                act_stash,
-                                config.recompute,
-                                &DirectCosts,
-                            ),
+                            Some(bound) => bound.feasible(estimator, model, &q),
+                            None => dp_feasible(estimator, model, &q, &DirectCosts),
                         }
                     });
                     if feasible {
                         any_feasible = true;
-                        let spec = CandidateSpec {
-                            batch,
-                            pp: *pp,
-                            bounds: bounds.clone(),
-                            micro_batches,
-                        };
                         let upper_bound = throughput_upper_bound(model, topology, &spec);
                         items.push(WorkItem {
                             slot: items.len(),
@@ -263,26 +246,24 @@ pub(crate) fn run_sweep(
     let first_error: Mutex<Option<ClusterError>> = Mutex::new(None);
 
     let workers = jobs.max(1).min(n_items.max(1));
-    // The engine-free inner solver: the arena fast path (bit-identical to
-    // the reference DP; see `galvatron_core::arena`), shared so its
-    // dominance counters survive the worker scope.
-    let arena_dp = ArenaStageDp::new();
+    // Solver stack, innermost out: kernels from the incremental engine's
+    // intern table (when enabled) or straight from the estimator, the
+    // arena solver (bit-identical to the reference DP; see
+    // `galvatron_core::arena`), then the whole-query memoization cache
+    // (when enabled). Workers share every layer; the arena solver's
+    // counters survive the worker scope.
+    let kernels: &(dyn StageCostProvider + Sync) = match &bound {
+        Some(b) => b,
+        None => &DirectCosts,
+    };
+    let arena_dp = ArenaStageDp::new(kernels);
     crossbeam::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| {
-                // Solver stack, innermost out: the incremental engine's
-                // kernel-interning DP (when enabled), otherwise the arena
-                // solver, then the whole-query memoization cache (when
-                // enabled). Workers share both structures; each layer is
-                // bit-identical to the direct DP.
-                let inner: &dyn StageDp = match &bound {
-                    Some(b) => b,
-                    None => &arena_dp,
-                };
-                let cached = context.map(|ctx| CachedStageDp::over(cache.unwrap(), ctx, inner));
+                let cached = context.map(|ctx| CachedStageDp::over(cache.unwrap(), ctx, &arena_dp));
                 let dp: &dyn StageDp = match &cached {
                     Some(c) => c,
-                    None => inner,
+                    None => &arena_dp,
                 };
                 loop {
                     let item = match queue.steal() {
@@ -353,12 +334,8 @@ pub(crate) fn run_sweep(
     if let Some(error) = first_error.into_inner() {
         return Err(error);
     }
-    if engine.is_none() {
-        // With an engine, the same counters come off the engine delta in
-        // the caller; without one they live on the shared arena solver.
-        stats.arena_solves = arena_dp.solves();
-        stats.dominated_pruned = arena_dp.dominated();
-    }
+    stats.arena_solves = arena_dp.solves();
+    stats.dominated_pruned = arena_dp.dominated();
 
     // Deterministic reduction: serial order, strict improvement — the same
     // first-wins tie-breaking as the serial loop.

@@ -220,9 +220,7 @@ impl<'a> Builder<'a> {
 
     /// Per-device activation stash bytes for one micro-batch of a layer.
     /// With recomputation only the layer-boundary input survives until
-    /// backward. `recompute` is the plan's per-layer decision; the global
-    /// [`SimulatorConfig::recompute_activations`] override forces it on
-    /// everywhere (back-compat for pre-BMW configs).
+    /// backward. `recompute` is the plan's per-layer decision.
     fn act_bytes_per_micro(
         &self,
         layer: &LayerSpec,
@@ -230,7 +228,7 @@ impl<'a> Builder<'a> {
         recompute: bool,
     ) -> i64 {
         let samples = (self.micro_size / strategy.data_degree()).max(1) as u64;
-        let per_sample = if recompute || self.config.recompute_activations {
+        let per_sample = if recompute {
             layer.output_bytes_per_sample(self.model.dtype)
         } else {
             layer.activation_bytes_tp(self.model.dtype, strategy.tp() as u64)
@@ -451,9 +449,9 @@ impl<'a> Builder<'a> {
                     };
 
                     // Backward is 2× forward; with recomputation (this
-                    // layer's plan decision, or the global back-compat
-                    // override) the layer's forward is replayed first.
-                    let recompute = stage.recompute_of(offset) || self.config.recompute_activations;
+                    // layer's plan decision) the layer's forward is replayed
+                    // first.
+                    let recompute = stage.recompute_of(offset);
                     let backward_factor = if recompute { 3.0 } else { 2.0 };
                     let work = backward_factor * self.fwd_work(s, &layer, &strategy);
                     let prio = self.next_priority();

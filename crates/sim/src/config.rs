@@ -21,16 +21,6 @@ pub struct SimulatorConfig {
     pub memory_budget: Option<u64>,
     /// Optimizer-state bytes per parameter (Adam: 8).
     pub optimizer_bytes_per_param: u64,
-    /// **Deprecated global override**: recompute *every* layer's
-    /// activations during backward instead of stashing them (disabled in
-    /// the paper's evaluation, §5.1). Since the BMW extension the plan
-    /// itself carries per-layer recompute decisions
-    /// ([`StagePlan::layer_recompute`](galvatron_strategy::StagePlan)),
-    /// which the simulator honours layer by layer; this bool remains as a
-    /// back-compat blanket override OR-ed over every layer. Backward
-    /// compute grows by one forward pass; the stash shrinks to layer
-    /// boundaries.
-    pub recompute_activations: bool,
 }
 
 impl Default for SimulatorConfig {
@@ -43,7 +33,6 @@ impl Default for SimulatorConfig {
             seed: 0x9A1A_7201,
             memory_budget: None,
             optimizer_bytes_per_param: 8,
-            recompute_activations: false,
         }
     }
 }

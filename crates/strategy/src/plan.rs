@@ -146,6 +146,22 @@ impl PipelineSchedule {
             PipelineSchedule::OneFOneB => micro_batches.min(pp_degree - stage_index),
         }
     }
+
+    /// Samples whose activations stage `stage_index` stashes at once: its
+    /// [`in_flight`](Self::in_flight) micro-batches of
+    /// `global_batch / micro_batches` samples each, capped at the whole
+    /// batch.
+    pub fn stash_samples(
+        self,
+        stage_index: usize,
+        pp_degree: usize,
+        micro_batches: usize,
+        global_batch: usize,
+    ) -> u64 {
+        let micro = (global_batch / micro_batches) as u64;
+        let in_flight = self.in_flight(stage_index, pp_degree, micro_batches) as u64;
+        (micro * in_flight).min(global_batch as u64)
+    }
 }
 
 /// A complete parallelization plan for a model on a cluster.

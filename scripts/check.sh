@@ -44,7 +44,10 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build "${CARGO_FLAGS[@]}" --release
 cargo test "${CARGO_FLAGS[@]}" -q
 
-echo "==> oracle conformance: brute force vs every DP path (serial/arena/cached/incremental)"
+echo "==> core/planner/sim unit tests (tier-1 above runs only the root package)"
+cargo test "${CARGO_FLAGS[@]}" -p galvatron-core -p galvatron-planner -p galvatron-sim -q
+
+echo "==> oracle conformance: brute force vs every DP path (reference/arena/interned/cached)"
 cargo test "${CARGO_FLAGS[@]}" --test dp_oracle -q
 
 echo "==> tier-2 (release): oracle wall + differential fuzz + golden snapshots"
@@ -110,7 +113,7 @@ cargo run "${CARGO_FLAGS[@]}" --release -q -p galvatron-hetero --bin galvatron-h
 test -s BENCH_hetero.json || { echo "BENCH_hetero.json missing" >&2; exit 1; }
 
 echo "==> bmw crate suites (knob corners, 6 GiB unlock, determinism) + per-layer"
-echo "    recompute extension (On ≡ global flag bit-for-bit, Auto never loses)"
+echo "    recompute extension (per-layer plan decisions, Auto never loses)"
 cargo test "${CARGO_FLAGS[@]}" -p galvatron-bmw -q
 cargo test "${CARGO_FLAGS[@]}" --test recompute_extension -q
 

@@ -6,7 +6,7 @@
 # Since the BMW extension the fuzzed instance space includes the
 # recompute dimension: every case draws a RecomputeMode (off/on/auto)
 # and the brute-force reference enumerates both per-layer planes, so
-# the serial/arena/cached/incremental equivalences are stressed over
+# the reference/arena/interned/cached equivalences are stressed over
 # the enlarged (strategy, recompute) decision space too.
 #
 # Prints exactly ONE summary line on stdout, e.g.

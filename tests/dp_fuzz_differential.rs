@@ -6,7 +6,7 @@
 //! asserts
 //!
 //! * **plan-byte identity** — `dp_search_arena` returns the same `DpResult`
-//!   as the reference `dp_search_with_micro_batches`, compared at the bit
+//!   as the reference `reference::solve`, compared at the bit
 //!   level (`f64::to_bits` for cost, exact strategy sequence, exact
 //!   memory bytes), and
 //! * **dominance safety** — the dominated-strategy prefilter never removes
@@ -22,7 +22,7 @@
 
 use galvatron_cluster::{island_cluster, mixed_a100_rtx_cluster, rtx_titan_node, DeviceType, MIB};
 use galvatron_core::{
-    dominance_masks, dp_search_arena, dp_search_with_recompute, DirectCosts, DpArena, RecomputeMode,
+    dominance_masks, dp_search_arena, reference, DirectCosts, DpArena, RecomputeMode, StageDpQuery,
 };
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::BertConfig;
@@ -140,21 +140,20 @@ struct Params {
 fn check(case: &Case) -> Result<(), String> {
     let (est, model, set, p) = build(case);
     let mode = recompute_mode(case);
-    let reference = dp_search_with_recompute(
-        &est,
-        &model,
-        p.layer_range.clone(),
-        0,
-        &set,
-        p.stage_batch,
-        p.usable_budget,
-        p.granularity,
-        p.micro_batches,
-        p.act_stash_batch,
-        mode,
-        &DirectCosts,
-    )
-    .map_err(|e| format!("reference errored: {e:?}"))?;
+    let q = StageDpQuery {
+        micro_batches: p.micro_batches,
+        act_stash_batch: p.act_stash_batch,
+        recompute: mode,
+        ..StageDpQuery::new(
+            p.layer_range.clone(),
+            &set,
+            p.stage_batch,
+            p.usable_budget,
+            p.granularity,
+        )
+    };
+    let reference = reference::solve(&est, &model, &q, &DirectCosts)
+        .map_err(|e| format!("reference errored: {e:?}"))?;
     let mut arena = DpArena::new();
     let fast = dp_search_arena(
         &est,
@@ -210,20 +209,8 @@ fn check(case: &Case) -> Result<(), String> {
     // Dominance safety: no strategy on the reference optimum may be
     // removed by the prefilter.
     if let Some(reference) = &reference {
-        let masks = dominance_masks(
-            &est,
-            &model,
-            p.layer_range.clone(),
-            0,
-            &set,
-            p.stage_batch,
-            p.granularity,
-            p.micro_batches,
-            p.act_stash_batch,
-            mode,
-            &DirectCosts,
-        )
-        .map_err(|e| format!("dominance_masks errored: {e:?}"))?;
+        let masks = dominance_masks(&est, &model, &q, &DirectCosts)
+            .map_err(|e| format!("dominance_masks errored: {e:?}"))?;
         let planes = mode.planes();
         let n_strats = set.len();
         for (li, chosen) in reference.strategies.iter().enumerate() {

@@ -8,16 +8,17 @@
 //! layers), with the *same* quantized memory accounting the DP uses. Each
 //! seeded random workload asserts that
 //!
-//! * the serial path (`dp_search_with_micro_batches`),
+//! * the reference solver (`reference::solve`),
 //! * the arena path (`dp_search_arena` — the cold hot path, including its
 //!   dominance prefilter and reachable-memory windows),
 //! * the parallel-worker path (`ArenaStageDp` through per-thread arenas,
 //!   exactly what the work-stealing sweep runs),
 //! * the memoizing path (`CachedStageDp`, cold and warm),
-//! * the incremental path (`IncrementalEngine`, cold and replayed from the
+//! * the incremental path (`ArenaStageDp` over the bound
+//!   `IncrementalEngine`'s interned kernels, cold and replayed from the
 //!   intern table), and
-//! * the composed path (cache over incremental — the planner's production
-//!   stack)
+//! * the composed path (cache over the interned arena solver — the
+//!   planner's production stack)
 //!
 //! all agree bit-for-bit with each other and match the brute-force optimum,
 //! including on infeasible instances (everyone must say `None`).
@@ -34,14 +35,13 @@
 use galvatron_cluster::{
     island_cluster, mixed_a100_rtx_cluster, rtx_titan_node, ClusterTopology, DeviceType, MIB,
 };
+use galvatron_core::reference::{self, DirectStageDp};
 use galvatron_core::{
-    dp_search_arena, dp_search_with_micro_batches, dp_search_with_recompute, ArenaStageDp,
-    DirectCosts, DirectStageDp, DpArena, DpResult, IncrementalEngine, RecomputeMode, StageDp,
-    StageDpQuery,
+    context_fingerprint, dp_search_arena, ArenaStageDp, DirectCosts, DpArena, DpResult,
+    IncrementalEngine, RecomputeMode, StageDp, StageDpQuery,
 };
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::{BertConfig, ModelSpec};
-use galvatron_planner::cache::context_fingerprint;
 use galvatron_planner::{CachedStageDp, DpCache};
 use galvatron_strategy::{DecisionTreeBuilder, StrategySet};
 use rand::rngs::StdRng;
@@ -485,7 +485,7 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
     let engine = IncrementalEngine::new();
     let cache = DpCache::new();
     let mut arena = DpArena::new();
-    let arena_dp = ArenaStageDp::new();
+    let arena_dp = ArenaStageDp::new(&DirectCosts);
 
     for &(_family, offset, count) in &FAMILIES {
         for seed in offset..offset + count {
@@ -493,21 +493,7 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
             let inst = draw(seed);
             let q = query(&inst);
 
-            let serial = dp_search_with_recompute(
-                &inst.estimator,
-                &inst.model,
-                inst.layer_range.clone(),
-                0,
-                &inst.set,
-                inst.stage_batch,
-                inst.usable_budget,
-                inst.granularity,
-                inst.micro_batches,
-                inst.act_stash_batch,
-                inst.recompute,
-                &DirectCosts,
-            )
-            .unwrap();
+            let serial = reference::solve(&inst.estimator, &inst.model, &q, &DirectCosts).unwrap();
 
             // Arena path: the cold hot path with dominance prefilter and
             // reachable-memory windows, on a shared (reused) arena.
@@ -535,24 +521,26 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
             let worker = arena_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &worker, "parallel worker", seed);
 
-            // Incremental path, cold then replayed from the intern table.
+            // Incremental path: the arena solver over the bound engine's
+            // interned kernels, cold then replayed from the intern table.
             let bound = engine.bind(&inst.estimator, &inst.model);
-            let incremental = bound.solve(&inst.estimator, &inst.model, &q).unwrap();
-            let replayed = bound.solve(&inst.estimator, &inst.model, &q).unwrap();
+            let interned = ArenaStageDp::new(&bound);
+            let incremental = interned.solve(&inst.estimator, &inst.model, &q).unwrap();
+            let replayed = interned.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &incremental, "incremental", seed);
             assert_same_result(&serial, &replayed, "incremental replay", seed);
 
             // Memoizing path, cold then warm.
             let ctx = cache.intern(&context_fingerprint(&inst.estimator, &inst.model));
-            let cached_dp = CachedStageDp::new(&cache, ctx);
+            let cached_dp = CachedStageDp::over(&cache, ctx, &DirectStageDp);
             let cached = cached_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             let warm = cached_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &cached, "cached", seed);
             assert_same_result(&serial, &warm, "warm cache", seed);
 
             // The production stack: whole-query memoization over the
-            // incremental engine.
-            let composed_dp = CachedStageDp::over(&cache, ctx, &bound);
+            // interned arena solver.
+            let composed_dp = CachedStageDp::over(&cache, ctx, &interned);
             let composed = composed_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &composed, "cache∘incremental", seed);
 
@@ -601,15 +589,6 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
         counters.intern_hits > 0,
         "replays must hit the table: {counters:?}"
     );
-    assert!(
-        counters.arena_solves > 0,
-        "the incremental engine must route solves through the arena: {counters:?}"
-    );
-    // Replaying an infeasible query is answered by the ledger alone.
-    assert!(
-        counters.warm_start_prunes >= infeasible,
-        "infeasible replays must short-circuit: {counters:?}"
-    );
 }
 
 /// Thread-local arenas must not interact: the same query solved
@@ -620,22 +599,10 @@ fn parallel_thread_arenas_agree_with_serial() {
     let serials: Vec<Option<DpResult>> = insts
         .iter()
         .map(|inst| {
-            dp_search_with_micro_batches(
-                &inst.estimator,
-                &inst.model,
-                inst.layer_range.clone(),
-                0,
-                &inst.set,
-                inst.stage_batch,
-                inst.usable_budget,
-                inst.granularity,
-                inst.micro_batches,
-                inst.act_stash_batch,
-            )
-            .unwrap()
+            reference::solve(&inst.estimator, &inst.model, &query(inst), &DirectCosts).unwrap()
         })
         .collect();
-    let dp = ArenaStageDp::new();
+    let dp = ArenaStageDp::new(&DirectCosts);
     std::thread::scope(|scope| {
         for chunk in insts.chunks(4).zip(serials.chunks(4)) {
             let (insts, serials) = chunk;

@@ -1,17 +1,18 @@
 //! Property tests for the estimator invariants the incremental engine's
-//! warm-starts rely on.
+//! feasibility ledger relies on.
 //!
-//! The monotone-memory ledger prunes a stage query at activation stash `b'`
-//! whenever a smaller stash `b ≤ b'` was already infeasible. That is only
-//! sound if modeled memory is monotone in the batch (the paper's
-//! Algorithm 1 lines 14–18 lean on the same fact to stop the sweep), and
-//! only complete if `dp_feasible` — the O(L·S) screen the parallel planner
-//! and the ledger both use — answers exactly `dp_search(..).is_some()`.
+//! The monotone-memory ledger answers a stage query at activation stash
+//! `b'` as infeasible whenever a smaller stash `b ≤ b'` was already
+//! infeasible. That is only sound if modeled memory is monotone in the
+//! batch (the paper's Algorithm 1 lines 14–18 lean on the same fact to stop
+//! the sweep), and only complete if `dp_feasible` — the O(L·S) screen the
+//! parallel planner and the ledger both use — answers exactly
+//! `reference::solve(..).is_some()`.
 //! This suite pins both, plus the layer-count monotonicity that makes
 //! stage-prefix costs well behaved.
 
 use galvatron_cluster::{rtx_titan_node, GIB, MIB};
-use galvatron_core::{dp_feasible, dp_search_with_micro_batches};
+use galvatron_core::{dp_feasible, reference, DirectCosts, StageDpQuery};
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::{BertConfig, ModelSpec};
 use galvatron_strategy::DecisionTreeBuilder;
@@ -113,10 +114,8 @@ proptest! {
         // Walk prefixes longest-first: feasibility may only *appear* and the
         // optimum may only shrink as layers are dropped.
         for end in (1..=n).rev() {
-            let out = dp_search_with_micro_batches(
-                &est, &spec, 0..end, 0, &set, batch, budget, 32 * MIB, 1, batch,
-            )
-            .unwrap();
+            let q = StageDpQuery::new(0..end, &set, batch, budget, 32 * MIB);
+            let out = reference::solve(&est, &spec, &q, &DirectCosts).unwrap();
             if let Some(prev) = prev_cost {
                 let out = out.as_ref().expect("shorter prefix lost feasibility");
                 prop_assert!(
@@ -129,7 +128,7 @@ proptest! {
         }
     }
 
-    /// The warm-start soundness property itself: once a query is
+    /// The ledger's soundness property itself: once a query is
     /// memory-infeasible at stash `b`, it stays infeasible at every larger
     /// stash — for both `dp_feasible` and the full solve.
     #[test]
@@ -145,12 +144,9 @@ proptest! {
         let granularity = (1u64 << gran_exp) * MIB;
         let mut seen_infeasible = false;
         for batch in [1u64, 2, 4, 8, 16, 32, 64] {
-            let quick = dp_feasible(&est, &spec, 0..spec.n_layers(), &set, budget, granularity, batch);
-            let full = dp_search_with_micro_batches(
-                &est, &spec, 0..spec.n_layers(), 0, &set, batch, budget, granularity, 1, batch,
-            )
-            .unwrap()
-            .is_some();
+            let q = StageDpQuery::new(0..spec.n_layers(), &set, batch, budget, granularity);
+            let quick = dp_feasible(&est, &spec, &q, &DirectCosts);
+            let full = reference::solve(&est, &spec, &q, &DirectCosts).unwrap().is_some();
             prop_assert_eq!(quick, full, "screen vs solve at batch {}", batch);
             if seen_infeasible {
                 prop_assert!(!full, "batch {} feasible after a smaller batch was not", batch);
@@ -159,7 +155,7 @@ proptest! {
         }
     }
 
-    /// `dp_feasible` answers exactly `dp_search(..).is_some()` across the
+    /// `dp_feasible` answers exactly `reference::solve(..).is_some()` across the
     /// (budget × batch × micro-batch) grid, including the quantization
     /// boundary region.
     #[test]
@@ -174,12 +170,12 @@ proptest! {
         let set = DecisionTreeBuilder::new(8).strategies();
         let budget = budget_mib * MIB;
         let batch = 8u64 << batch_exp;
-        let quick = dp_feasible(&est, &spec, 0..spec.n_layers(), &set, budget, 32 * MIB, batch);
-        let full = dp_search_with_micro_batches(
-            &est, &spec, 0..spec.n_layers(), 0, &set, batch, budget, 32 * MIB, micro_batches, batch,
-        )
-        .unwrap()
-        .is_some();
+        let q = StageDpQuery {
+            micro_batches,
+            ..StageDpQuery::new(0..spec.n_layers(), &set, batch, budget, 32 * MIB)
+        };
+        let quick = dp_feasible(&est, &spec, &q, &DirectCosts);
+        let full = reference::solve(&est, &spec, &q, &DirectCosts).unwrap().is_some();
         prop_assert_eq!(quick, full);
     }
 }

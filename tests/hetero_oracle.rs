@@ -1,14 +1,14 @@
 //! The hetero-path conformance suite: 120 seeded random instances.
 //!
-//! The per-stage-budget generalization threads every search — serial,
-//! incremental, parallel-sweep and the hetero planner's Time objective —
-//! through [`ClusterTopology::stage_usable_budgets`]. This suite draws
-//! seeded random homogeneous instances and asserts all four paths agree
+//! The per-stage-budget generalization threads every search — the serial
+//! reference, the incremental and fully cached parallel sweeps and the
+//! hetero planner's Time objective — through
+//! [`ClusterTopology::stage_usable_budgets`]. This suite draws seeded
+//! random homogeneous instances and asserts all four paths agree
 //! **bit-for-bit**: serialized plan bytes equal, throughput and
-//! iteration-time `f64` bit patterns equal, feasibility identical. A
-//! second pass pins the mixed-cluster paths (serial vs incremental vs
-//! parallel) to each other the same way — heterogeneity must not make any
-//! path diverge from the serial reference.
+//! iteration-time `f64` bit patterns equal, feasibility identical. A second
+//! pass pins the mixed-cluster paths to each other the same way —
+//! heterogeneity must not make any path diverge from the serial reference.
 //!
 //! [`ClusterTopology::stage_usable_budgets`]:
 //!     galvatron_cluster::ClusterTopology::stage_usable_budgets
@@ -107,27 +107,6 @@ fn all_paths_agree(instance: &Instance, what: &str) {
         .optimize(&instance.model, &instance.topology, instance.budget)
         .expect("valid instance");
 
-    let engine = IncrementalEngine::new();
-    let incremental = GalvatronOptimizer::new(instance.config.clone())
-        .optimize_incremental(
-            &instance.model,
-            &instance.topology,
-            instance.budget,
-            &engine,
-        )
-        .expect("valid instance");
-    assert_bit_identical(&serial, &incremental, &format!("{what}: incremental"));
-    // Replay against the warm engine: interned kernels must not drift.
-    let replay = GalvatronOptimizer::new(instance.config.clone())
-        .optimize_incremental(
-            &instance.model,
-            &instance.topology,
-            instance.budget,
-            &engine,
-        )
-        .expect("valid instance");
-    assert_bit_identical(&serial, &replay, &format!("{what}: warm replay"));
-
     let planner = ParallelPlanner::new(PlannerConfig {
         optimizer: instance.config.clone(),
         jobs: 4,
@@ -137,6 +116,29 @@ fn all_paths_agree(instance: &Instance, what: &str) {
         cache_max_entries: None,
         intern_max_entries: None,
     });
+    let engine = IncrementalEngine::new();
+    let incremental = planner
+        .optimize_with_reuse(
+            &instance.model,
+            &instance.topology,
+            instance.budget,
+            None,
+            Some(&engine),
+        )
+        .expect("valid instance");
+    assert_bit_identical(&serial, &incremental, &format!("{what}: incremental"));
+    // Replay against the warm engine: interned kernels must not drift.
+    let replay = planner
+        .optimize_with_reuse(
+            &instance.model,
+            &instance.topology,
+            instance.budget,
+            None,
+            Some(&engine),
+        )
+        .expect("valid instance");
+    assert_bit_identical(&serial, &replay, &format!("{what}: warm replay"));
+
     let cache = DpCache::new();
     let parallel = planner
         .optimize_with_reuse(

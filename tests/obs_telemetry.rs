@@ -195,8 +195,7 @@ fn planner_metrics_match_stats_and_explainer_matches_estimator() {
     let n_layers: usize = ex.stages.iter().map(|s| s.layers.len()).sum();
     assert_eq!(n_layers, model.n_layers());
     for (si, (stage_ex, stage)) in ex.stages.iter().zip(&plan.stages).enumerate() {
-        let in_flight = plan.schedule.in_flight(si, pp, m) as u64;
-        let act_stash = (micro_u64 * in_flight).min(batch);
+        let act_stash = plan.schedule.stash_samples(si, pp, m, plan.global_batch);
         for (layer_ex, strategy) in stage_ex.layers.iter().zip(&stage.layer_strategies) {
             let cost = estimator
                 .layer_cost(

@@ -1,10 +1,15 @@
 //! The parallel planning engine must be an *exact* drop-in for the serial
 //! Algorithm-1 sweep: identical plan, throughput and iteration time for
 //! every zoo model × memory budget on the 8-GPU testbed, regardless of the
-//! worker count, and cache hits must never change the selected plan.
+//! worker count, and cache hits must never change the selected plan. Its
+//! feasibility screen must also be exact: no candidate it dispatches may
+//! come back infeasible.
 
 use galvatron::prelude::*;
-use galvatron_core::{GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig};
+use galvatron_core::{
+    GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
+    RecomputeMode,
+};
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use proptest::prelude::*;
 
@@ -137,6 +142,66 @@ fn warm_incremental_engine_reproduces_the_serial_plan() {
 }
 
 #[test]
+fn dispatched_candidates_never_come_back_infeasible() {
+    // Phase A screens every stage of every candidate with the exact
+    // feasibility check (through the ledger) before dispatching it, so
+    // every candidate that issues a DP query must come back as an
+    // evaluated plan: one `candidate_seconds` entry per candidate plan.
+    // This is why the ledger needs no second gate at solve time. Covered
+    // with both recompute modes, the memory-balanced partitioner and a
+    // tiny engine bound whose ledger windows are evicted mid-sweep.
+    let topology = TestbedPreset::RtxTitan8.topology();
+    let engine = IncrementalEngine::bounded(64);
+    let configs = [
+        (RecomputeMode::Off, PipelinePartitioner::ByFlops),
+        (RecomputeMode::Auto, PipelinePartitioner::ByFlops),
+        (RecomputeMode::Auto, PipelinePartitioner::MemoryBalanced),
+    ];
+    let mut searches = 0usize;
+    for (recompute, partitioner) in configs {
+        let planner = ParallelPlanner::new(PlannerConfig {
+            optimizer: OptimizerConfig {
+                recompute,
+                partitioner,
+                max_batch: 16,
+                ..OptimizerConfig::default()
+            },
+            jobs: 2,
+            use_cache: false,
+            prune: true,
+            incremental: true,
+            cache_max_entries: None,
+            intern_max_entries: Some(64),
+        });
+        for model in PaperModel::ALL {
+            let spec = model.spec();
+            for budget_gb in [8u64, 12, 16, 20] {
+                let what = format!(
+                    "{} @ {budget_gb}G, {recompute}, {partitioner:?}",
+                    model.name()
+                );
+                let Some(outcome) = planner
+                    .optimize_with_reuse(&spec, &topology, budget_gb * GIB, None, Some(&engine))
+                    .unwrap()
+                else {
+                    continue;
+                };
+                let stats = &outcome.stats;
+                assert_eq!(
+                    stats.candidate_seconds.len(),
+                    stats.candidate_plans,
+                    "{what}: a dispatched candidate came back infeasible"
+                );
+                assert_eq!(stats.warm_start_prunes, 0, "{what}");
+                searches += 1;
+            }
+        }
+    }
+    assert!(searches > 0, "the grid must plan something");
+    assert!(engine.evictions() > 0, "the engine bound must evict");
+}
+
+#[test]
 fn warm_cache_reproduces_the_cold_plan() {
     let topology = TestbedPreset::RtxTitan8.topology();
     let model = PaperModel::VitHuge32.spec();
@@ -148,10 +213,10 @@ fn warm_cache_reproduces_the_cold_plan() {
     let planner = planner(4, true, false);
     let cache = DpCache::new();
     let cold = planner
-        .optimize_with_cache(&model, &topology, 12 * GIB, &cache)
+        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache), None)
         .unwrap();
     let warm = planner
-        .optimize_with_cache(&model, &topology, 12 * GIB, &cache)
+        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache), None)
         .unwrap();
     let warm = warm.expect("12 GiB is feasible for ViT-Huge-32");
     assert!(
@@ -196,8 +261,8 @@ proptest! {
         let planner = planner(jobs, true, true);
         let cache = DpCache::new();
         // First pass warms the cache, second pass is served from it.
-        let _ = planner.optimize_with_cache(&model, &topology, budget, &cache).unwrap();
-        let warm = planner.optimize_with_cache(&model, &topology, budget, &cache).unwrap();
+        let _ = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache), None).unwrap();
+        let warm = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache), None).unwrap();
         assert_same(
             &reference,
             &warm,

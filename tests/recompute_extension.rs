@@ -15,6 +15,15 @@ fn dp8_plan(model: &galvatron::model::ModelSpec, batch: usize) -> ParallelPlan {
     )
 }
 
+/// `plan` with every layer of every stage marked for recomputation.
+fn recompute_everything(plan: &ParallelPlan) -> ParallelPlan {
+    let mut plan = plan.clone();
+    for stage in &mut plan.stages {
+        stage.layer_recompute = vec![true; stage.n_layers()];
+    }
+    plan
+}
+
 #[test]
 fn recompute_trades_memory_for_compute_in_the_simulator() {
     let topo = TestbedPreset::RtxTitan8.topology();
@@ -32,11 +41,9 @@ fn recompute_trades_memory_for_compute_in_the_simulator() {
     let base = Simulator::new(topo.clone(), SimulatorConfig::deterministic())
         .execute(&model, &plan)
         .unwrap();
-    let cfg = SimulatorConfig {
-        recompute_activations: true,
-        ..SimulatorConfig::deterministic()
-    };
-    let recompute = Simulator::new(topo, cfg).execute(&model, &plan).unwrap();
+    let recompute = Simulator::new(topo, SimulatorConfig::deterministic())
+        .execute(&model, &recompute_everything(&plan))
+        .unwrap();
 
     assert!(
         recompute.peak_memory() < base.peak_memory() / 2,
@@ -65,58 +72,14 @@ fn estimator_and_simulator_agree_on_recompute() {
         .plan_cost(&model, &plan)
         .unwrap();
 
-    let sim_cfg = SimulatorConfig {
-        recompute_activations: true,
-        ..SimulatorConfig::default()
-    };
-    let sim = Simulator::new(topo, sim_cfg)
-        .execute(&model, &plan)
+    let sim = Simulator::new(topo, SimulatorConfig::default())
+        .execute(&model, &recompute_everything(&plan))
         .unwrap();
 
     let time_err = (est.iteration_time / sim.iteration_time - 1.0).abs();
     assert!(time_err < 0.10, "time err {time_err:.3}");
     let mem_err = (est.peak_memory() as f64 / sim.peak_memory() as f64 - 1.0).abs();
     assert!(mem_err < 0.05, "memory err {mem_err:.3}");
-}
-
-#[test]
-fn per_layer_plan_decisions_match_the_global_override_bit_for_bit() {
-    // Satellite regression for the deprecated `SimulatorConfig`
-    // `recompute_activations` bool: marking every layer in the plan is the
-    // same execution as flipping the global override, to the last bit.
-    let topo = TestbedPreset::RtxTitan8.topology();
-    let model = PaperModel::VitHuge32.spec();
-    let plan = ParallelPlan::uniform(
-        "sdp8",
-        model.n_layers(),
-        8,
-        galvatron::strategy::IntraStageStrategy::pure(Paradigm::ShardedData, 8).unwrap(),
-        64,
-    );
-
-    let mut per_layer = plan.clone();
-    for stage in &mut per_layer.stages {
-        stage.layer_recompute = vec![true; stage.n_layers()];
-    }
-    let from_plan = Simulator::new(topo.clone(), SimulatorConfig::deterministic())
-        .execute(&model, &per_layer)
-        .unwrap();
-
-    let cfg = SimulatorConfig {
-        recompute_activations: true,
-        ..SimulatorConfig::deterministic()
-    };
-    let from_global = Simulator::new(topo, cfg).execute(&model, &plan).unwrap();
-
-    assert_eq!(
-        from_plan.iteration_time.to_bits(),
-        from_global.iteration_time.to_bits()
-    );
-    assert_eq!(from_plan.peak_memory(), from_global.peak_memory());
-    assert_eq!(
-        from_plan.compute_work.to_bits(),
-        from_global.compute_work.to_bits()
-    );
 }
 
 #[test]
@@ -152,12 +115,8 @@ fn recompute_unlocks_infeasible_budgets() {
     .unwrap()
     .expect("recompute makes 6 GiB feasible");
 
-    let sim_cfg = SimulatorConfig {
-        recompute_activations: true,
-        ..SimulatorConfig::default().with_budget(budget)
-    };
-    let report = Simulator::new(topo, sim_cfg)
-        .execute(&model, &with.plan)
+    let report = Simulator::new(topo, SimulatorConfig::default().with_budget(budget))
+        .execute(&model, &recompute_everything(&with.plan))
         .unwrap();
     assert!(!report.oom);
     assert!(report.throughput > 0.0);
@@ -189,7 +148,7 @@ fn per_layer_dp_dimension_unlocks_infeasible_budgets() {
         .sum();
     assert!(marked > 0, "the winning plan should recompute some layers");
 
-    // The simulator honours the per-layer decisions without any global flag.
+    // The simulator honours the per-layer decisions the plan carries.
     let report = Simulator::new(topo, SimulatorConfig::default().with_budget(budget))
         .execute(&model, &outcome.plan)
         .unwrap();
