@@ -13,7 +13,13 @@
 //!
 //! A second, single-point scaling study plans the 100-layer BERT stack on
 //! the Table-4 A100×64 testbed (`serial-64gpu-100l` vs
-//! `arena-cold-64gpu-100l`) to pin cold-path behaviour at depth and scale.
+//! `arena-cold-64gpu-100l`) to pin cold-path behaviour at depth and scale,
+//! and a BMW study (`serial-bmw` vs `bmw-cold`) plans GPT2-XL-1.5B @ 8 GiB
+//! and BERT-Huge-48 @ 7 GiB with per-layer recompute (`RecomputeMode::Auto`)
+//! and memory-balanced stages — the doubled decision space where the
+//! arena's row-delta min-plus saves the most. Every row records the
+//! min-plus pairs the arena folded next to the pairs a dense per-row scan
+//! would have visited (`minplus_pairs` / `minplus_pairs_dense`).
 //!
 //! An ablation lane measures what each reuse layer earns: the cold sweep,
 //! the warm sweep and the scale point are re-run with exactly one planner
@@ -36,8 +42,11 @@
 use criterion::{criterion_group, Criterion};
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
 use galvatron_cluster::{ClusterTopology, TestbedPreset, GIB};
-use galvatron_core::{GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig};
-use galvatron_model::{ModelSpec, PaperModel};
+use galvatron_core::{
+    GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
+    RecomputeMode,
+};
+use galvatron_model::{GptConfig, ModelSpec, PaperModel};
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use serde::Serialize;
 use std::hint::black_box;
@@ -78,9 +87,24 @@ fn config() -> OptimizerConfig {
     }
 }
 
-fn planner(use_cache: bool, incremental: bool, prune: bool) -> ParallelPlanner {
+/// The BMW study's search: the DP picks recompute per layer and stages are
+/// cut by memory.
+fn bmw_config() -> OptimizerConfig {
+    OptimizerConfig {
+        recompute: RecomputeMode::Auto,
+        partitioner: PipelinePartitioner::MemoryBalanced,
+        ..config()
+    }
+}
+
+fn planner(
+    optimizer: OptimizerConfig,
+    use_cache: bool,
+    incremental: bool,
+    prune: bool,
+) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
-        optimizer: config(),
+        optimizer,
         jobs: 1,
         use_cache,
         prune,
@@ -90,9 +114,10 @@ fn planner(use_cache: bool, incremental: bool, prune: bool) -> ParallelPlanner {
     })
 }
 
-/// One study: a testbed and its `(label, model, budget GiB)` points, in
-/// study order.
+/// One study: a search configuration, a testbed and its `(label, model,
+/// budget GiB)` points, in study order.
 struct Study {
+    config: OptimizerConfig,
     topology: ClusterTopology,
     points: Vec<(String, ModelSpec, u64)>,
 }
@@ -101,7 +126,7 @@ impl Study {
     /// Plan every point with the serial optimizer; returns the min-of-N
     /// seconds and the first repetition's outcomes.
     fn serial(&self) -> (f64, Vec<Option<OptimizeOutcome>>) {
-        let serial = GalvatronOptimizer::new(config());
+        let serial = GalvatronOptimizer::new(self.config.clone());
         let mut best = f64::INFINITY;
         let mut baseline = Vec::new();
         for rep in 0..SERIAL_REPS {
@@ -211,12 +236,14 @@ struct SweepRow {
     ledger_hits: usize,
     arena_solves: usize,
     dominated_pruned: usize,
+    minplus_pairs: usize,
+    minplus_pairs_dense: usize,
     pruned_candidates: usize,
 }
 
 impl SweepRow {
     /// A row whose reuse counters sum the `SearchStats` of one pass's
-    /// outcomes (every point of both studies is feasible, so no search's
+    /// outcomes (every point of every study is feasible, so no search's
     /// counters are lost with a `None`).
     fn new(
         configuration: String,
@@ -242,6 +269,8 @@ impl SweepRow {
             row.ledger_hits += stats.ledger_hits;
             row.arena_solves += stats.arena_solves;
             row.dominated_pruned += stats.dominated_pruned;
+            row.minplus_pairs += stats.minplus_pairs;
+            row.minplus_pairs_dense += stats.minplus_pairs_dense;
             row.pruned_candidates += stats.pruned_candidates;
         }
         row
@@ -260,6 +289,7 @@ struct SweepReport {
     scale_model: String,
     scale_layers: usize,
     scale_cold_speedup_floor: f64,
+    bmw_points: Vec<String>,
     rows: Vec<SweepRow>,
 }
 
@@ -294,7 +324,7 @@ fn variant_rows(
     warm_name: Option<&str>,
     rows: &mut Vec<SweepRow>,
 ) {
-    let planner = planner(use_cache, incremental, prune);
+    let planner = planner(study.config.clone(), use_cache, incremental, prune);
     let cold_name = format!("{cold_name}{suffix}");
     let mut cold = (f64::INFINITY, Vec::new());
     let mut reuse = None;
@@ -336,6 +366,7 @@ fn variant_rows(
 
 fn run_table1_sweep() {
     let table1 = Study {
+        config: config(),
         topology: TestbedPreset::RtxTitan8.topology(),
         points: BUDGETS_GIB
             .iter()
@@ -348,12 +379,26 @@ fn run_table1_sweep() {
     };
     let scale_model = scale_point_model();
     let scale = Study {
+        config: config(),
         topology: TestbedPreset::A100x64.topology(),
         points: vec![(scale_model.name.clone(), scale_model.clone(), 16)],
     };
 
+    let bmw = Study {
+        config: bmw_config(),
+        topology: TestbedPreset::RtxTitan8.topology(),
+        points: [
+            (GptConfig::gpt2_1_5b().build("GPT2-XL-1.5B"), 8),
+            (PaperModel::BertHuge48.spec(), 7),
+        ]
+        .into_iter()
+        .map(|(spec, budget)| (spec.name.clone(), spec, budget))
+        .collect(),
+    };
+
     let (serial_secs, baseline) = table1.serial();
     let (scale_serial_secs, scale_baseline) = scale.serial();
+    let (bmw_serial_secs, bmw_baseline) = bmw.serial();
     // The serial optimizer reports no reuse counters, so its rows hold
     // zeros there.
     let mut rows = vec![SweepRow::new(
@@ -393,11 +438,28 @@ fn run_table1_sweep() {
         );
     }
 
+    rows.push(SweepRow::new(
+        "serial-bmw".to_string(),
+        bmw_serial_secs,
+        bmw_serial_secs,
+        SERIAL_REPS,
+        &bmw_baseline,
+    ));
+    variant_rows(
+        &bmw,
+        &bmw_baseline,
+        bmw_serial_secs,
+        VARIANTS[0],
+        "bmw-cold",
+        None,
+        &mut rows,
+    );
+
     // Table-4 spot check: the 64-GPU A100 path must agree with the serial
     // optimizer through the incremental stack too (equality only — the
     // timing study is above).
     let serial = GalvatronOptimizer::new(config());
-    let spot = planner(true, true, true);
+    let spot = planner(config(), true, true, true);
     let reuse = fresh_reuse(true, true);
     for model in galvatron_bench::paper::TABLE4_MODELS {
         let spec = model.spec();
@@ -422,13 +484,14 @@ fn run_table1_sweep() {
 
     println!(
         "\nplanner_sweep: Table-1 study ({} points, serial {serial_secs:.3}s) + \
-         64-GPU/{SCALE_POINT_LAYERS}-layer scale point (serial {scale_serial_secs:.3}s)",
+         64-GPU/{SCALE_POINT_LAYERS}-layer scale point (serial {scale_serial_secs:.3}s) + \
+         BMW study (serial {bmw_serial_secs:.3}s)",
         table1.points.len()
     );
     for row in &rows {
         println!(
             "  {:<32} {:.3}s  ({:.2}x; cache {}h/{}m, intern {}h/{}m, {} ledger hits, \
-             {} arena solves, {} dominated, {} pruned)",
+             {} arena solves, {} dominated, {}/{} min-plus pairs, {} pruned)",
             row.configuration,
             row.seconds,
             row.speedup_vs_serial,
@@ -439,6 +502,8 @@ fn run_table1_sweep() {
             row.ledger_hits,
             row.arena_solves,
             row.dominated_pruned,
+            row.minplus_pairs,
+            row.minplus_pairs_dense,
             row.pruned_candidates,
         );
     }
@@ -457,6 +522,11 @@ fn run_table1_sweep() {
         scale_model: scale_model.name.clone(),
         scale_layers: SCALE_POINT_LAYERS,
         scale_cold_speedup_floor: SCALE_COLD_SPEEDUP_FLOOR,
+        bmw_points: bmw
+            .points
+            .iter()
+            .map(|(label, _, budget)| format!("{label} @ {budget} GiB"))
+            .collect(),
         rows,
     };
     let path = workspace_root().join("BENCH_planner_sweep.json");
@@ -514,7 +584,7 @@ fn bench_sweep_point(c: &mut Criterion) {
         })
     });
 
-    let planner = planner(true, true, true);
+    let planner = planner(config(), true, true, true);
     let cache = DpCache::new();
     let engine = IncrementalEngine::new();
     planner

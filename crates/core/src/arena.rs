@@ -9,7 +9,7 @@
 //! bound incremental engine's intern table, or
 //! [`DirectCosts`](crate::dp::DirectCosts)). It
 //! computes the exact same
-//! [`DpResult`] (every `f64` bit, every tie-break) while removing the three
+//! [`DpResult`] (every `f64` bit, every tie-break) while removing the four
 //! dominant costs of a cold solve:
 //!
 //! 1. **Contiguous pre-sized arenas.** All working storage — the
@@ -40,6 +40,20 @@
 //!    tie-breaking exactly — the argmin sequence is unchanged, so the
 //!    reconstruction walks the same backpointers.
 //!
+//! 4. **Row-delta min-plus.** Consecutive memory rows mostly agree: on
+//!    deep BMW stages most `(layer, rem)` rows equal row `rem − 1` on every
+//!    surviving predecessor. Per layer, the min-plus row `(g, argmin)` is
+//!    therefore kept across the `rem` loop: the first reachable row runs
+//!    the full ascending scan, and every later row folds in only the
+//!    predecessors whose `dp` bits changed since the row before, with the
+//!    rule `v < g || (v == g && p < gp)`. A row with no changed
+//!    predecessor costs one `O(|A_prev|)` compare pass and no
+//!    `|A_prev|·|A_cur|` work. The monotone-row lemma below is why the
+//!    fold lands on the full scan's value *and* first-wins argmin.
+//!    [`DpArena::minplus_pairs`] and [`DpArena::minplus_pairs_dense`]
+//!    count the pairs folded against the pairs a dense per-row scan would
+//!    have visited.
+//!
 //! ## The dominance lemma
 //!
 //! For one layer `l` of the stage, say strategy `s_i` *dominates* `s_j`
@@ -67,6 +81,33 @@
 //! surviving set is never empty. The `dp_fuzz_differential` suite asserts
 //! this lemma empirically against the reference solver on randomized
 //! instances.
+//!
+//! ## The monotone-row lemma
+//!
+//! Every `dp` column is non-increasing in `rem`: `dp[rem][p] ≤
+//! dp[rem − 1][p]` for every layer and decision `p`. Induction over
+//! layers: layer 0 seeds each decision's "at most `e`" suffix (INF below
+//! its need, its cost at and above). For a later layer, each contribution
+//! `dp[rem][p] + R[p][d]` is non-increasing in `rem` because IEEE addition
+//! of a fixed addend is monotone, so `g[rem][d]` — a `min` over them — is
+//! too; `next[rem + need][d] = g[rem][d] + cost(d)` shifts that column up
+//! by a fixed offset, and the clamped tail above `hi_prev + need` copies
+//! the top row, which keeps it non-increasing.
+//!
+//! Consequently, going from row `rem − 1` to `rem`, every changed
+//! contribution strictly fell and every unchanged one kept its bits. Write
+//! `(g, gp)` for row `rem − 1`'s minimum and lowest attaining index. The
+//! new minimum is `min(g, changed contributions)`: an unchanged
+//! contribution is `≥ g`, and if `gp` itself changed its new contribution
+//! is `≤ g`. The lowest index attaining the new minimum is the lowest of
+//! `gp` (when the minimum stayed `g`) and the changed predecessors that
+//! attain it: an unchanged predecessor attaining `g` has index `≥ gp`,
+//! since `gp` was the lowest attaining `g` before. That is exactly the
+//! value and argmin the reference's ascending strict-`<` scan returns, so
+//! folding the changed predecessors with `v < g || (v == g && p < gp)`
+//! is bit-identical to rescanning the row. Debug builds assert every
+//! changed value strictly decreased; the `dp_fuzz_differential` deep-stage
+//! lane pins the result against the reference solver on real-size models.
 
 use crate::dp::{DpResult, RecomputeMode, StageCostProvider, StageDp, StageDpQuery};
 use galvatron_cluster::{ClusterError, DeviceId};
@@ -124,6 +165,8 @@ pub struct DpArena {
     choice: Vec<u8>,
     solves: u64,
     dominated_slots: u64,
+    minplus_pairs: u64,
+    minplus_pairs_dense: u64,
 }
 
 impl DpArena {
@@ -141,6 +184,18 @@ impl DpArena {
     /// prefilter across all solves.
     pub fn dominated_slots(&self) -> u64 {
         self.dominated_slots
+    }
+
+    /// Cumulative `(predecessor, decision)` pairs the row-delta min-plus
+    /// folded across all solves.
+    pub fn minplus_pairs(&self) -> u64 {
+        self.minplus_pairs
+    }
+
+    /// Cumulative `(predecessor, decision)` pairs a dense per-row min-plus
+    /// over the same windows and survivors would have visited.
+    pub fn minplus_pairs_dense(&self) -> u64 {
+        self.minplus_pairs_dense
     }
 }
 
@@ -524,35 +579,50 @@ pub fn dp_search_arena(
         let k_prev = arena.layer_key[li - 1] as usize;
         let act_cur = &arena.active[k_cur * n_dec..k_cur * n_dec + arena.active_len[k_cur]];
         let act_prev = &arena.active[k_prev * n_dec..k_prev * n_dec + arena.active_len[k_prev]];
-        // Fused min-plus + scatter over the previous layer's reachable
+        // Row-delta min-plus + scatter over the previous layer's reachable
         // rows. Per row, g[d] = min over surviving predecessor decisions p
-        // of dp[rem][p] + r[strat(p)][strat(d)], first-wins on ties — the
-        // same scan order (p ascending) and strict-< update as the
-        // reference per-cell loop, hoisted out of the `e` dimension and
-        // held in stack registers. `R` is blind to the recompute plane, so
-        // decisions index the transformation matrix through their strategy
-        // parts. Each finite g[d] immediately seeds
+        // of dp[rem][p] + r[strat(p)][strat(d)], first-wins on ties. `R` is
+        // blind to the recompute plane, so decisions index the
+        // transformation matrix through their strategy parts. The first
+        // row runs the reference's full ascending strict-< scan; every
+        // later row starts from the row before's (g, argmin) and folds in
+        // only the predecessors whose dp bits changed — by the monotone-row
+        // lemma (module docs) those only fell, so the fold
+        // `v < g || (v == g && p < gp)` lands on the full scan's value and
+        // lowest attaining index. Each finite g[d] immediately seeds
         // next[rem + need(d)][d] = g[d] + cost(d); rows past `hi_prev`
         // would all read the clamped `hi_prev` row, so that row's pass
         // additionally fills the `(hi_prev + need, hi_cur]` tail.
         let rbase = &arena.r[pc * n_strats * n_strats..(pc + 1) * n_strats * n_strats];
         let mut g_row = [INF; MAX_STRATEGIES];
         let mut gp_row = [u8::MAX; MAX_STRATEGIES];
+        let mut folded = 0u64;
         for rem in lo_prev..=hi_prev {
             let row = rem * n_dec;
-            for &s in act_cur {
-                g_row[s as usize] = INF;
-            }
             for &p in act_prev {
                 let prior = arena.dp[row + p as usize];
-                if !prior.is_finite() {
-                    continue;
+                if rem == lo_prev {
+                    if !prior.is_finite() {
+                        continue;
+                    }
+                } else {
+                    let before = arena.dp[row - n_dec + p as usize];
+                    if prior.to_bits() == before.to_bits() {
+                        continue;
+                    }
+                    debug_assert!(
+                        prior < before,
+                        "dp column rose from row {} to {rem}: {before} -> {prior}",
+                        rem - 1
+                    );
                 }
+                folded += 1;
                 let ps = p as usize % n_strats;
                 let rrow = &rbase[ps * n_strats..(ps + 1) * n_strats];
                 for &s in act_cur {
+                    let (g, gp) = (g_row[s as usize], gp_row[s as usize]);
                     let v = prior + rrow[s as usize % n_strats];
-                    if v < g_row[s as usize] {
+                    if v < g || (v == g && p < gp) {
                         g_row[s as usize] = v;
                         gp_row[s as usize] = p;
                     }
@@ -579,6 +649,9 @@ pub fn dp_search_arena(
                 }
             }
         }
+        let n_cur = act_cur.len() as u64;
+        arena.minplus_pairs += folded * n_cur;
+        arena.minplus_pairs_dense += (hi_prev - lo_prev + 1) as u64 * act_prev.len() as u64 * n_cur;
         std::mem::swap(&mut arena.dp, &mut arena.next);
     }
 
@@ -636,12 +709,15 @@ pub fn dp_search_arena(
 /// The production [`StageDp`]: every query runs [`dp_search_arena`] on the
 /// thread-local scratch, with kernels from the provider it was built over —
 /// the planner hands it the bound incremental engine (interned kernels) or
-/// [`DirectCosts`](crate::dp::DirectCosts). Counts its solves and the
-/// dominance prefilter's removed slots.
+/// [`DirectCosts`](crate::dp::DirectCosts). Counts its solves, the
+/// dominance prefilter's removed slots and the min-plus pairs folded
+/// against the dense count.
 pub struct ArenaStageDp<'p> {
     provider: &'p (dyn StageCostProvider + Sync),
     solves: AtomicUsize,
     dominated: AtomicUsize,
+    minplus_pairs: AtomicUsize,
+    minplus_pairs_dense: AtomicUsize,
 }
 
 impl<'p> ArenaStageDp<'p> {
@@ -651,6 +727,8 @@ impl<'p> ArenaStageDp<'p> {
             provider,
             solves: AtomicUsize::new(0),
             dominated: AtomicUsize::new(0),
+            minplus_pairs: AtomicUsize::new(0),
+            minplus_pairs_dense: AtomicUsize::new(0),
         }
     }
 
@@ -664,6 +742,17 @@ impl<'p> ArenaStageDp<'p> {
     pub fn dominated(&self) -> usize {
         self.dominated.load(Ordering::Relaxed)
     }
+
+    /// Cumulative min-plus pairs folded (see [`DpArena::minplus_pairs`]).
+    pub fn minplus_pairs(&self) -> usize {
+        self.minplus_pairs.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative min-plus pairs a dense per-row scan would have visited
+    /// (see [`DpArena::minplus_pairs_dense`]).
+    pub fn minplus_pairs_dense(&self) -> usize {
+        self.minplus_pairs_dense.load(Ordering::Relaxed)
+    }
 }
 
 impl StageDp for ArenaStageDp<'_> {
@@ -674,7 +763,9 @@ impl StageDp for ArenaStageDp<'_> {
         q: &StageDpQuery<'_>,
     ) -> Result<Option<DpResult>, ClusterError> {
         with_thread_arena(|arena| {
-            let dominated_before = arena.dominated_slots();
+            let dominated = arena.dominated_slots();
+            let pairs = arena.minplus_pairs();
+            let dense = arena.minplus_pairs_dense();
             let out = dp_search_arena(
                 estimator,
                 model,
@@ -692,7 +783,13 @@ impl StageDp for ArenaStageDp<'_> {
             )?;
             self.solves.fetch_add(1, Ordering::Relaxed);
             self.dominated.fetch_add(
-                (arena.dominated_slots() - dominated_before) as usize,
+                (arena.dominated_slots() - dominated) as usize,
+                Ordering::Relaxed,
+            );
+            self.minplus_pairs
+                .fetch_add((arena.minplus_pairs() - pairs) as usize, Ordering::Relaxed);
+            self.minplus_pairs_dense.fetch_add(
+                (arena.minplus_pairs_dense() - dense) as usize,
                 Ordering::Relaxed,
             );
             Ok(out)
@@ -706,9 +803,9 @@ mod tests {
     use crate::dp::DirectCosts;
     use crate::reference;
     use galvatron_cluster::{rtx_titan_node, GIB, MIB};
-    use galvatron_estimator::EstimatorConfig;
+    use galvatron_estimator::{EstimatorConfig, LayerCost, LayerMemory};
     use galvatron_model::BertConfig;
-    use galvatron_strategy::DecisionTreeBuilder;
+    use galvatron_strategy::{DecisionTreeBuilder, IntraStageStrategy};
 
     fn estimator() -> CostEstimator {
         CostEstimator::new(rtx_titan_node(8), EstimatorConfig::default())
@@ -729,6 +826,7 @@ mod tests {
         est: &CostEstimator,
         model: &ModelSpec,
         q: &StageDpQuery<'_>,
+        provider: &dyn StageCostProvider,
         arena: &mut DpArena,
     ) -> Option<DpResult> {
         dp_search_arena(
@@ -743,7 +841,7 @@ mod tests {
             q.micro_batches,
             q.act_stash_batch,
             q.recompute,
-            &DirectCosts,
+            provider,
             arena,
         )
         .unwrap()
@@ -763,7 +861,7 @@ mod tests {
                         ..StageDpQuery::new(0..model.n_layers(), &set, 16, budget, 32 * MIB)
                     };
                     let reference = reference::solve(&est, &model, &q, &DirectCosts).unwrap();
-                    let fast = arena_solve(&est, &model, &q, &mut arena);
+                    let fast = arena_solve(&est, &model, &q, &DirectCosts, &mut arena);
                     match (&reference, &fast) {
                         (Some(a), Some(b)) => {
                             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
@@ -786,12 +884,12 @@ mod tests {
         let set = DecisionTreeBuilder::new(8).strategies();
         let mut arena = DpArena::new();
         let q = StageDpQuery::new(0..0, &set, 8, GIB, MIB);
-        let out = arena_solve(&est, &model, &q, &mut arena).unwrap();
+        let out = arena_solve(&est, &model, &q, &DirectCosts, &mut arena).unwrap();
         assert_eq!(out.cost, 0.0);
         assert!(out.strategies.is_empty());
         let empty = StrategySet::new(8, Vec::new());
         let q = StageDpQuery::new(0..model.n_layers(), &empty, 8, GIB, MIB);
-        let out = arena_solve(&est, &model, &q, &mut arena).unwrap();
+        let out = arena_solve(&est, &model, &q, &DirectCosts, &mut arena).unwrap();
         assert!(out.strategies.is_empty());
     }
 
@@ -820,6 +918,70 @@ mod tests {
         }
     }
 
+    /// Every strategy costs the same and no boundary costs anything, so
+    /// the surviving strategies differ only in memory and every predecessor
+    /// that fits ties with every other. Rows are walked upwards, so a
+    /// lower-index (bigger) predecessor starts to fit only after a
+    /// higher-index one has claimed the argmin: the row-delta fold must
+    /// hand the tie back to the lower index, as the reference's ascending
+    /// scan does.
+    struct FlatCosts;
+
+    impl StageCostProvider for FlatCosts {
+        fn layer_cost(
+            &self,
+            _: &CostEstimator,
+            _: &ModelSpec,
+            _: usize,
+            _: &IntraStageStrategy,
+            _: u64,
+            _: DeviceId,
+        ) -> Result<LayerCost, ClusterError> {
+            Ok(LayerCost {
+                forward_compute: 1.0,
+                ..LayerCost::zero()
+            })
+        }
+
+        fn layer_memory(
+            &self,
+            estimator: &CostEstimator,
+            model: &ModelSpec,
+            layer: usize,
+            strategy: &IntraStageStrategy,
+            act_stash_batch: u64,
+        ) -> LayerMemory {
+            DirectCosts.layer_memory(estimator, model, layer, strategy, act_stash_batch)
+        }
+
+        fn transformation(
+            &self,
+            _: &CostEstimator,
+            _: &ModelSpec,
+            _: usize,
+            _: &IntraStageStrategy,
+            _: &IntraStageStrategy,
+            _: u64,
+            _: DeviceId,
+        ) -> Result<f64, ClusterError> {
+            Ok(0.0)
+        }
+    }
+
+    #[test]
+    fn row_delta_hands_ties_to_the_lowest_predecessor() {
+        let est = estimator();
+        let model = tiny_bert(4);
+        let set = DecisionTreeBuilder::new(8).strategies();
+        let mut arena = DpArena::new();
+        for budget in [2 * GIB, 4 * GIB, 8 * GIB, 16 * GIB] {
+            let q = StageDpQuery::new(0..model.n_layers(), &set, 16, budget, 32 * MIB);
+            let reference = reference::solve(&est, &model, &q, &FlatCosts).unwrap();
+            let fast = arena_solve(&est, &model, &q, &FlatCosts, &mut arena);
+            assert_eq!(reference, fast, "budget {budget}");
+        }
+    }
+
     #[test]
     fn arena_stage_dp_counts_its_work() {
         let est = estimator();
@@ -834,5 +996,7 @@ mod tests {
         let fast = dp.solve(&est, &model, &q).unwrap();
         assert_eq!(direct, fast);
         assert_eq!(dp.solves(), 1);
+        assert!(dp.minplus_pairs() > 0);
+        assert!(dp.minplus_pairs() <= dp.minplus_pairs_dense());
     }
 }

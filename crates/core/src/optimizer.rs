@@ -165,6 +165,15 @@ pub struct SearchStats {
     /// prefilter across those solves (0 without the arena).
     #[serde(default)]
     pub dominated_pruned: usize,
+    /// `(predecessor, decision)` pairs the arena's row-delta min-plus
+    /// folded across those solves (0 without the arena).
+    #[serde(default)]
+    pub minplus_pairs: usize,
+    /// `(predecessor, decision)` pairs a dense per-row min-plus would have
+    /// visited over the same windows — the denominator of the row-delta
+    /// saving (0 without the arena).
+    #[serde(default)]
+    pub minplus_pairs_dense: usize,
     /// FNV-1a digest of the parallel planner's best-first dispatch order
     /// (candidate slot ordinals in visit order; 0 on the serial path).
     /// Pinned by the golden search-trace test: an ordering regression is
@@ -239,6 +248,12 @@ impl SearchStats {
         registry
             .counter("dp_dominated_pruned")
             .inc_by(self.dominated_pruned as u64);
+        registry
+            .counter("dp_minplus_pairs")
+            .inc_by(self.minplus_pairs as u64);
+        registry
+            .counter("dp_minplus_pairs_dense")
+            .inc_by(self.minplus_pairs_dense as u64);
         registry
             .wall_histogram("planner_search_seconds")
             .observe(self.search_seconds);

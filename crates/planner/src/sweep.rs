@@ -336,6 +336,8 @@ pub(crate) fn run_sweep(
     }
     stats.arena_solves = arena_dp.solves();
     stats.dominated_pruned = arena_dp.dominated();
+    stats.minplus_pairs = arena_dp.minplus_pairs();
+    stats.minplus_pairs_dense = arena_dp.minplus_pairs_dense();
 
     // Deterministic reduction: serial order, strict improvement — the same
     // first-wins tie-breaking as the serial loop.

@@ -54,7 +54,10 @@ echo "==> tier-2 (release): oracle wall + differential fuzz + golden snapshots"
 # The same bit-identity suites again, but release-compiled: the arena DP's
 # unsafe-free but heavily windowed hot path must agree with the reference
 # under release codegen (different FP contraction and bounds-check
-# elision), not just under the opt-level-2 test profile.
+# elision), not just under the opt-level-2 test profile. The differential
+# fuzz target includes the deep-stage lane: GPT2-XL-1.5B and BERT-Huge-48,
+# whole and as memory-balanced 2-/4-stage splits, where memory windows run
+# hundreds of rows long and the arena's row-delta min-plus does its work.
 cargo test "${CARGO_FLAGS[@]}" --release -q \
     --test dp_oracle --test dp_fuzz_differential \
     --test golden_plans --test golden_scale

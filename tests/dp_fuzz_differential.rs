@@ -13,6 +13,13 @@
 //!   a strategy the reference optimum uses (the dominance lemma of
 //!   `galvatron_core::arena`, checked empirically).
 //!
+//! A deterministic deep-stage lane (`deep_stages_match_reference`) runs the
+//! same bit-identity check on real-size models — GPT2-XL-1.5B and
+//! BERT-Huge-48, whole and split into memory-balanced pipeline stages —
+//! where memory windows span hundreds of rows and the arena's row-delta
+//! min-plus does most of its folding, and asserts that the fold actually
+//! skipped work there.
+//!
 //! The vendored proptest stub has no shrinking, so this harness carries its
 //! own: a failing draw is greedily minimized (fewer layers, fewer
 //! strategies, smaller budget, simpler topology) while it keeps failing,
@@ -20,13 +27,16 @@
 //! `PROPTEST_CASES` to raise the per-property case count (the nightly
 //! `scripts/oracle_stress.sh` lane runs 2048).
 
-use galvatron_cluster::{island_cluster, mixed_a100_rtx_cluster, rtx_titan_node, DeviceType, MIB};
+use galvatron_cluster::{
+    island_cluster, mixed_a100_rtx_cluster, rtx_titan_node, ClusterError, DeviceType, GIB, MIB,
+};
 use galvatron_core::{
-    dominance_masks, dp_search_arena, reference, DirectCosts, DpArena, RecomputeMode, StageDpQuery,
+    dominance_masks, dp_search_arena, partition_memory_balanced, reference, DirectCosts, DpArena,
+    DpResult, RecomputeMode, StageDpQuery,
 };
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
-use galvatron_model::BertConfig;
-use galvatron_strategy::{DecisionTreeBuilder, StrategySet};
+use galvatron_model::{BertConfig, GptConfig, ModelSpec, PaperModel};
+use galvatron_strategy::{DecisionTreeBuilder, PipelineSchedule, StrategySet};
 use proptest::prelude::*;
 
 /// One fuzzed instance, compact enough to shrink field-by-field.
@@ -60,14 +70,7 @@ fn recompute_mode(case: &Case) -> RecomputeMode {
     }
 }
 
-fn build(
-    case: &Case,
-) -> (
-    CostEstimator,
-    galvatron_model::ModelSpec,
-    StrategySet,
-    Params,
-) {
+fn build(case: &Case) -> (CostEstimator, ModelSpec, StrategySet, Params) {
     let topology = match case.topo {
         0 => rtx_titan_node(4),
         1 => island_cluster(DeviceType::RtxTitan, 3, 2),
@@ -134,45 +137,34 @@ struct Params {
     granularity: u64,
 }
 
-/// The differential property. `Ok(())` when the arena path is bit-identical
-/// to the reference and the dominance filter is safe; `Err(reason)` with a
-/// human-readable divergence description otherwise.
-fn check(case: &Case) -> Result<(), String> {
-    let (est, model, set, p) = build(case);
-    let mode = recompute_mode(case);
-    let q = StageDpQuery {
-        micro_batches: p.micro_batches,
-        act_stash_batch: p.act_stash_batch,
-        recompute: mode,
-        ..StageDpQuery::new(
-            p.layer_range.clone(),
-            &set,
-            p.stage_batch,
-            p.usable_budget,
-            p.granularity,
-        )
-    };
-    let reference = reference::solve(&est, &model, &q, &DirectCosts)
-        .map_err(|e| format!("reference errored: {e:?}"))?;
-    let mut arena = DpArena::new();
-    let fast = dp_search_arena(
-        &est,
-        &model,
-        p.layer_range.clone(),
-        0,
-        &set,
-        p.stage_batch,
-        p.usable_budget,
-        p.granularity,
-        p.micro_batches,
-        p.act_stash_batch,
-        mode,
+/// `dp_search_arena` over `q`'s fields, on `arena`.
+fn arena_solve(
+    est: &CostEstimator,
+    model: &ModelSpec,
+    q: &StageDpQuery<'_>,
+    arena: &mut DpArena,
+) -> Result<Option<DpResult>, ClusterError> {
+    dp_search_arena(
+        est,
+        model,
+        q.layers(),
+        q.base_device,
+        q.set,
+        q.stage_batch,
+        q.usable_budget,
+        q.granularity,
+        q.micro_batches,
+        q.act_stash_batch,
+        q.recompute,
         &DirectCosts,
-        &mut arena,
+        arena,
     )
-    .map_err(|e| format!("arena errored: {e:?}"))?;
+}
 
-    match (&reference, &fast) {
+/// `Ok(())` when the arena answer equals the reference bit for bit: cost
+/// bits, strategy sequence, recompute planes and memory bytes.
+fn bit_identical(reference: &Option<DpResult>, fast: &Option<DpResult>) -> Result<(), String> {
+    match (reference, fast) {
         (None, None) => {}
         (Some(a), Some(b)) => {
             if a.cost.to_bits() != b.cost.to_bits() {
@@ -205,6 +197,33 @@ fn check(case: &Case) -> Result<(), String> {
             ))
         }
     }
+    Ok(())
+}
+
+/// The differential property. `Ok(())` when the arena path is bit-identical
+/// to the reference and the dominance filter is safe; `Err(reason)` with a
+/// human-readable divergence description otherwise.
+fn check(case: &Case) -> Result<(), String> {
+    let (est, model, set, p) = build(case);
+    let mode = recompute_mode(case);
+    let q = StageDpQuery {
+        micro_batches: p.micro_batches,
+        act_stash_batch: p.act_stash_batch,
+        recompute: mode,
+        ..StageDpQuery::new(
+            p.layer_range.clone(),
+            &set,
+            p.stage_batch,
+            p.usable_budget,
+            p.granularity,
+        )
+    };
+    let reference = reference::solve(&est, &model, &q, &DirectCosts)
+        .map_err(|e| format!("reference errored: {e:?}"))?;
+    let fast = arena_solve(&est, &model, &q, &mut DpArena::new())
+        .map_err(|e| format!("arena errored: {e:?}"))?;
+
+    bit_identical(&reference, &fast)?;
 
     // Dominance safety: no strategy on the reference optimum may be
     // removed by the prefilter.
@@ -404,4 +423,68 @@ fn shrinker_reaches_a_one_minimal_case() {
         assert!(check(&cand).is_ok(), "simplification broke a passing case");
     }
     assert!(shrink_candidates(&case).len() > 4);
+}
+
+/// Deep-stage lane: real-size models whose memory windows span hundreds of
+/// rows, where the arena's row-delta min-plus folds only the predecessors
+/// whose dp value fell since the row before. GPT2-XL-1.5B and BERT-Huge-48
+/// on an 8-GPU RTX node, each as one whole-model stage on all 8 GPUs and as
+/// the 2- and 4-stage memory-balanced splits on groups of 4 and 2, over
+/// both stash-only and per-layer recompute, four budgets and three
+/// micro-batch counts. Every solve must equal the reference bit for bit,
+/// and every recompute-`Auto` solve must fold strictly fewer min-plus pairs
+/// than the dense per-row scan — so the lane cannot pass without the fold
+/// running.
+#[test]
+fn deep_stages_match_reference() {
+    let estimator = CostEstimator::new(rtx_titan_node(8), EstimatorConfig::default());
+    let mut arena = DpArena::new();
+    let mut auto_solves = 0usize;
+    for model in [
+        GptConfig::gpt2_1_5b().build("GPT2-XL-1.5B"),
+        PaperModel::BertHuge48.spec(),
+    ] {
+        for (stages, group) in [(1usize, 8usize), (2, 4), (4, 2)] {
+            let set = DecisionTreeBuilder::new(group).strategies();
+            let split = partition_memory_balanced(&model, stages, PipelineSchedule::GPipe, None);
+            let modes = [RecomputeMode::Off, RecomputeMode::Auto];
+            let shapes = split.iter().enumerate().flat_map(|(k, &layers)| {
+                modes.into_iter().flat_map(move |mode| {
+                    [6u64, 8, 10, 12].into_iter().flat_map(move |gib| {
+                        [1usize, 2, 4].map(move |micro| (k, layers, mode, gib, micro))
+                    })
+                })
+            });
+            for (k, (start, end), recompute, gib, micro_batches) in shapes {
+                let q = StageDpQuery {
+                    base_device: k * group,
+                    micro_batches,
+                    recompute,
+                    ..StageDpQuery::new(start..end, &set, 16, gib * GIB, 16 * MIB)
+                };
+                let what = format!(
+                    "{} stage {k} of {stages} [{start}, {end}), {recompute:?}, \
+                     {gib} GiB, {micro_batches} micro-batches",
+                    model.name
+                );
+                let reference =
+                    reference::solve(&estimator, &model, &q, &DirectCosts).expect("well-formed");
+                let before = (arena.minplus_pairs(), arena.minplus_pairs_dense());
+                let fast = arena_solve(&estimator, &model, &q, &mut arena).expect("well-formed");
+                if let Err(reason) = bit_identical(&reference, &fast) {
+                    panic!("{what}: {reason}");
+                }
+                if recompute == RecomputeMode::Auto {
+                    let pairs = arena.minplus_pairs() - before.0;
+                    let dense = arena.minplus_pairs_dense() - before.1;
+                    assert!(
+                        pairs < dense,
+                        "{what}: row-delta folded {pairs} of {dense} dense pairs"
+                    );
+                    auto_solves += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(auto_solves, 2 * (1 + 2 + 4) * 4 * 3);
 }
