@@ -19,20 +19,21 @@
 //! |                       | pipeline stages (PipeDream/DAPPLE-style)         |
 //! | Galvatron (ours)      | the full §3 search                               |
 //!
-//! For the fixed strategies the planner sweeps the batch exactly like
-//! Algorithm 1 does (§5.2 reports "the maximum throughput of each strategy
-//! ... along with the corresponding batch size") and returns the
-//! highest-throughput feasible batch.
+//! The three automatic rows run Algorithm 1 through the production
+//! [`ParallelPlanner`]. For the fixed strategies the planner sweeps the
+//! batch exactly like Algorithm 1 does (§5.2 reports "the maximum
+//! throughput of each strategy ... along with the corresponding batch
+//! size") and returns the highest-throughput feasible batch.
 
 #![warn(missing_docs)]
 
 use galvatron_cluster::{ClusterError, ClusterTopology};
 use galvatron_core::optimizer::batch_candidates;
-use galvatron_core::{
-    GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, SearchStats,
-};
+use galvatron_core::{OptimizeOutcome, OptimizerConfig, PipelinePartitioner, SearchStats};
 use galvatron_estimator::{optimal_micro_batches, CostEstimator};
 use galvatron_model::ModelSpec;
+use galvatron_obs::Obs;
+use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use galvatron_strategy::{IntraStageStrategy, Paradigm, ParallelPlan, StagePlan, StrategyAxis};
 use serde::{Deserialize, Serialize};
 
@@ -90,9 +91,6 @@ impl BaselineStrategy {
 /// from the shared base configuration: the restricted paradigm set, the
 /// pipeline toggle and the row label. Returns `None` for the fixed-shape
 /// baselines (DDP/TP/PP/SDP/3D), which do not run Algorithm 1.
-///
-/// Shared by [`BaselinePlanner::plan`] and the bench harness's parallel
-/// planner routing so the two fronts configure the search identically.
 pub fn optimizer_config_for(
     strategy: BaselineStrategy,
     base: &OptimizerConfig,
@@ -123,12 +121,24 @@ pub fn optimizer_config_for(
 pub struct BaselinePlanner {
     topology: ClusterTopology,
     config: OptimizerConfig,
+    obs: Obs,
 }
 
 impl BaselinePlanner {
     /// Build with the optimizer/estimator configuration shared by every row.
     pub fn new(topology: ClusterTopology, config: OptimizerConfig) -> Self {
-        BaselinePlanner { topology, config }
+        BaselinePlanner {
+            topology,
+            config,
+            obs: Obs::noop(),
+        }
+    }
+
+    /// Attach a telemetry handle: the automatic rows' searches record their
+    /// counters and `dp_search` spans into it.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Default configuration.
@@ -150,6 +160,20 @@ impl BaselinePlanner {
         model: &ModelSpec,
         budget_bytes: u64,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
+        self.plan_with_cache(strategy, model, budget_bytes, None)
+    }
+
+    /// [`plan`](Self::plan) with an optional stage-DP memoization cache
+    /// shared across calls, so the automatic rows of a whole table reuse
+    /// each other's Eq. 1 solutions; without one, each search memoizes on
+    /// its own. The fixed-shape rows ignore it.
+    pub fn plan_with_cache(
+        &self,
+        strategy: BaselineStrategy,
+        model: &ModelSpec,
+        budget_bytes: u64,
+        cache: Option<&DpCache>,
+    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
         match strategy {
             BaselineStrategy::PyTorchDdp => {
                 self.sweep_uniform(model, budget_bytes, Paradigm::Data, strategy.label())
@@ -165,9 +189,27 @@ impl BaselinePlanner {
             BaselineStrategy::GalvatronDpTp
             | BaselineStrategy::GalvatronDpPp
             | BaselineStrategy::GalvatronFull => {
-                let config = optimizer_config_for(strategy, &self.config)
+                let optimizer = optimizer_config_for(strategy, &self.config)
                     .expect("automatic strategies have a search configuration");
-                GalvatronOptimizer::new(config).optimize(model, &self.topology, budget_bytes)
+                let planner = ParallelPlanner::new(PlannerConfig {
+                    optimizer,
+                    // Table harnesses parallelise across cells, not within
+                    // one search.
+                    jobs: 1,
+                    incremental: false,
+                    ..PlannerConfig::default()
+                })
+                .with_obs(self.obs.clone());
+                match cache {
+                    Some(cache) => planner.optimize_with_reuse(
+                        model,
+                        &self.topology,
+                        budget_bytes,
+                        Some(cache),
+                        None,
+                    ),
+                    None => planner.optimize(model, &self.topology, budget_bytes),
+                }
             }
         }
     }

@@ -28,6 +28,13 @@
 //! throughput-bound gate) — as rows suffixed `/no-cache`, `/no-intern` and
 //! `/no-prune`, each held to the same bit-identity check.
 //!
+//! A second ablation lane prices two of the paper's search knobs on one
+//! point each through the production planner (`jobs = 1`): Takeaway #3
+//! pruning on and off (Swin-Huge-32 @ 12 GiB, 22 vs 34 candidate
+//! strategies) and the §3.3 DP memory granularity at 8/16/64/256 MiB
+//! (BERT-Huge-32 @ 16 GiB). Each row records its min-of-N seconds, the
+//! winner's throughput and the arena solves; no floor applies.
+//!
 //! Every point's plan is asserted byte-identical to the serial baseline
 //! (the bench *fails* on divergence — this is the CI gate `scripts/check.sh`
 //! relies on), a Table-4 spot check pins the 64-GPU path too, and the
@@ -39,9 +46,8 @@
 //! [`WARM_SPEEDUP_FLOOR`]. The measurement deliberately does not rely on
 //! multi-core work stealing (`jobs = 1`).
 
-use criterion::{criterion_group, Criterion};
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
-use galvatron_cluster::{ClusterTopology, TestbedPreset, GIB};
+use galvatron_cluster::{ClusterTopology, TestbedPreset, GIB, MIB};
 use galvatron_core::{
     GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
     RecomputeMode,
@@ -49,7 +55,6 @@ use galvatron_core::{
 use galvatron_model::{GptConfig, ModelSpec, PaperModel};
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use serde::Serialize;
-use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -67,6 +72,7 @@ const SCALE_COLD_SPEEDUP_FLOOR: f64 = 5.0;
 const SERIAL_REPS: usize = 2;
 const COLD_REPS: usize = 3;
 const WARM_REPS: usize = 3;
+const ABLATION_REPS: usize = 3;
 
 /// The production planner (every reuse layer on) and the three ablations,
 /// each with exactly one layer off: `(row suffix, use_cache, incremental,
@@ -277,6 +283,79 @@ impl SweepRow {
     }
 }
 
+/// One knob setting of the ablation lane: a single point planned through
+/// the production planner with fresh reuse structures per repetition.
+#[derive(Debug, Serialize)]
+struct AblationRow {
+    configuration: String,
+    point: String,
+    seconds: f64,
+    reps: usize,
+    /// Candidate strategies summed over the PP degrees (Figure 2's
+    /// 22 pruned vs 34 raw on 8 GPUs).
+    strategies: usize,
+    throughput_samples_per_sec: f64,
+    arena_solves: usize,
+}
+
+fn ablation_row(
+    configuration: String,
+    config: OptimizerConfig,
+    topology: &ClusterTopology,
+    model: &ModelSpec,
+    budget_gib: u64,
+) -> AblationRow {
+    let planner = planner(config, true, true, true);
+    let mut seconds = f64::INFINITY;
+    let mut outcome = None;
+    for _ in 0..ABLATION_REPS {
+        let started = Instant::now();
+        outcome = planner
+            .optimize(model, topology, budget_gib * GIB)
+            .expect("well-formed testbed");
+        seconds = seconds.min(started.elapsed().as_secs_f64());
+    }
+    let outcome = outcome.unwrap_or_else(|| panic!("{configuration}: point is infeasible"));
+    AblationRow {
+        configuration,
+        point: format!("{} @ {budget_gib} GiB", model.name),
+        seconds,
+        reps: ABLATION_REPS,
+        strategies: outcome
+            .stats
+            .strategy_set_sizes
+            .iter()
+            .map(|&(_, n)| n)
+            .sum(),
+        throughput_samples_per_sec: outcome.throughput_samples_per_sec,
+        arena_solves: outcome.stats.arena_solves,
+    }
+}
+
+/// Takeaway #3 pruning on/off, then the DP memory granularity sweep.
+fn ablation_rows(topology: &ClusterTopology) -> Vec<AblationRow> {
+    let swin = PaperModel::SwinHuge32.spec();
+    let bert = PaperModel::BertHuge32.spec();
+    let mut rows = Vec::new();
+    for takeaway3 in [true, false] {
+        let config = OptimizerConfig {
+            takeaway3,
+            ..config()
+        };
+        let name = format!("ablation/takeaway3={takeaway3}");
+        rows.push(ablation_row(name, config, topology, &swin, 12));
+    }
+    for mib in [8u64, 16, 64, 256] {
+        let config = OptimizerConfig {
+            memory_granularity: mib * MIB,
+            ..config()
+        };
+        let name = format!("ablation/granularity={mib}MiB");
+        rows.push(ablation_row(name, config, topology, &bert, 16));
+    }
+    rows
+}
+
 #[derive(Debug, Serialize)]
 struct SweepReport {
     testbed: String,
@@ -291,6 +370,7 @@ struct SweepReport {
     scale_cold_speedup_floor: f64,
     bmw_points: Vec<String>,
     rows: Vec<SweepRow>,
+    ablations: Vec<AblationRow>,
 }
 
 /// Find the workspace root (the directory whose Cargo.toml declares the
@@ -482,6 +562,8 @@ fn run_table1_sweep() {
         );
     }
 
+    let ablations = ablation_rows(&table1.topology);
+
     println!(
         "\nplanner_sweep: Table-1 study ({} points, serial {serial_secs:.3}s) + \
          64-GPU/{SCALE_POINT_LAYERS}-layer scale point (serial {scale_serial_secs:.3}s) + \
@@ -507,6 +589,17 @@ fn run_table1_sweep() {
             row.pruned_candidates,
         );
     }
+    for row in &ablations {
+        println!(
+            "  {:<32} {:.3}s  ({}; {} strategies, {:.2} samples/s, {} arena solves)",
+            row.configuration,
+            row.seconds,
+            row.point,
+            row.strategies,
+            row.throughput_samples_per_sec,
+            row.arena_solves,
+        );
+    }
 
     let report = SweepReport {
         testbed: "rtx-titan-8".to_string(),
@@ -528,6 +621,7 @@ fn run_table1_sweep() {
             .map(|(label, _, budget)| format!("{label} @ {budget} GiB"))
             .collect(),
         rows,
+        ablations,
     };
     let path = workspace_root().join("BENCH_planner_sweep.json");
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -564,51 +658,6 @@ fn run_table1_sweep() {
     );
 }
 
-fn bench_sweep_point(c: &mut Criterion) {
-    // Criterion smoke: one representative point, serial vs incremental-warm,
-    // so the harness tracks per-search latency over time.
-    let topology = TestbedPreset::RtxTitan8.topology();
-    let model = PaperModel::BertHuge32.spec();
-
-    let mut group = c.benchmark_group("planner_sweep");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-
-    let serial = GalvatronOptimizer::new(config());
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            serial
-                .optimize(black_box(&model), &topology, 16 * GIB)
-                .unwrap()
-        })
-    });
-
-    let planner = planner(config(), true, true, true);
-    let cache = DpCache::new();
-    let engine = IncrementalEngine::new();
-    planner
-        .optimize_with_reuse(&model, &topology, 16 * GIB, Some(&cache), Some(&engine))
-        .unwrap();
-    group.bench_function("incremental-warm", |b| {
-        b.iter(|| {
-            planner
-                .optimize_with_reuse(
-                    black_box(&model),
-                    &topology,
-                    16 * GIB,
-                    Some(&cache),
-                    Some(&engine),
-                )
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_sweep_point);
-
 fn main() {
-    benches();
     run_table1_sweep();
 }

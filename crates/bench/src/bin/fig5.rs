@@ -10,8 +10,9 @@
 
 use galvatron_bench::render::write_json;
 use galvatron_cluster::{TestbedPreset, GIB};
-use galvatron_core::{GalvatronOptimizer, OptimizerConfig};
+use galvatron_core::OptimizerConfig;
 use galvatron_model::PaperModel;
+use galvatron_planner::ParallelPlanner;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -25,7 +26,7 @@ struct PlanRecord {
 
 fn main() {
     let topology = TestbedPreset::RtxTitan8.topology();
-    let optimizer = GalvatronOptimizer::new(OptimizerConfig {
+    let planner = ParallelPlanner::with_optimizer(OptimizerConfig {
         max_batch: 256,
         ..OptimizerConfig::default()
     });
@@ -34,7 +35,7 @@ fn main() {
     for model_id in [PaperModel::BertHuge32, PaperModel::SwinHuge32] {
         let model = model_id.spec();
         for budget_gb in [8u32, 12] {
-            match optimizer
+            match planner
                 .optimize(&model, &topology, budget_gb as u64 * GIB)
                 .expect("topology lookups succeed")
             {

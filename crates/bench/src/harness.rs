@@ -2,12 +2,12 @@
 //! simulator — the same separation the paper's evaluation has between the
 //! planner's estimates and real execution.
 
-use galvatron_baselines::{optimizer_config_for, BaselinePlanner, BaselineStrategy};
+use galvatron_baselines::{BaselinePlanner, BaselineStrategy};
 use galvatron_cluster::{ClusterTopology, GIB};
 use galvatron_core::OptimizerConfig;
 use galvatron_model::{ModelSpec, PaperModel};
 use galvatron_obs::Obs;
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::DpCache;
 use galvatron_sim::{Simulator, SimulatorConfig};
 use serde::{Deserialize, Serialize};
 
@@ -70,10 +70,9 @@ pub fn evaluate_cell(
 }
 
 /// [`evaluate_cell`] with an optional shared stage-DP cache: the automatic
-/// (Galvatron) rows are planned through `galvatron-planner`, reusing Eq. 1
-/// solutions across cells; the fixed-shape rows keep the baseline sweep.
-/// Planner workers are kept at 1 because the harness already parallelises
-/// across cells.
+/// (Galvatron) rows reuse Eq. 1 solutions across cells (see
+/// [`BaselinePlanner::plan_with_cache`]); the fixed-shape rows keep the
+/// baseline sweep.
 pub fn evaluate_cell_cached(
     topology: &ClusterTopology,
     model: &ModelSpec,
@@ -120,24 +119,9 @@ pub fn evaluate_cell_observed(
     };
 
     loop {
-        let planned = match optimizer_config_for(strategy, &cfg) {
-            Some(optimizer) => {
-                let planner = ParallelPlanner::new(PlannerConfig {
-                    optimizer,
-                    jobs: 1,
-                    use_cache: cache.is_some(),
-                    prune: true,
-                    incremental: false,
-                    cache_max_entries: None,
-                    intern_max_entries: None,
-                })
-                .with_obs(obs.clone());
-                planner.optimize_with_reuse(model, topology, budget, cache, None)
-            }
-            None => {
-                BaselinePlanner::new(topology.clone(), cfg.clone()).plan(strategy, model, budget)
-            }
-        };
+        let planned = BaselinePlanner::new(topology.clone(), cfg.clone())
+            .with_obs(obs.clone())
+            .plan_with_cache(strategy, model, budget, cache);
         let Ok(Some(outcome)) = planned else {
             return result;
         };

@@ -23,10 +23,9 @@
 #![warn(missing_docs)]
 
 use galvatron_cluster::{ClusterError, ClusterTopology};
-use galvatron_core::{
-    GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, RecomputeMode,
-};
+use galvatron_core::{OptimizeOutcome, OptimizerConfig, PipelinePartitioner, RecomputeMode};
 use galvatron_model::ModelSpec;
+use galvatron_planner::ParallelPlanner;
 use serde::Serialize;
 
 /// The four corners of the BMW knob space, baseline first.
@@ -138,8 +137,8 @@ impl BmwComparison {
     }
 }
 
-/// The BMW orchestrator: a [`GalvatronOptimizer`] per knob combination,
-/// sharing one base [`OptimizerConfig`].
+/// The BMW orchestrator: one [`ParallelPlanner`] search per knob
+/// combination, sharing one base [`OptimizerConfig`].
 pub struct BmwPlanner {
     config: OptimizerConfig,
 }
@@ -176,7 +175,7 @@ impl BmwPlanner {
         topology: &ClusterTopology,
         budget_bytes: u64,
     ) -> Result<VariantOutcome, ClusterError> {
-        let outcome = GalvatronOptimizer::new(self.variant_config(variant)).optimize(
+        let outcome = ParallelPlanner::with_optimizer(self.variant_config(variant)).optimize(
             model,
             topology,
             budget_bytes,

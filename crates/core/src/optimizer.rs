@@ -8,9 +8,10 @@
 //! either) — Algorithm 1 lines 14–18.
 //!
 //! [`GalvatronOptimizer`] is the serial reference baseline: every stage goes
-//! through the reference solver, in sweep order, with no reuse. Production
-//! planning runs the same sweep through `galvatron-planner`, which must
-//! match it bit for bit.
+//! through the reference solver, in sweep order, with no reuse. Only tests
+//! and the `planner_sweep` bench construct it. Every production caller
+//! plans through `galvatron-planner`'s `ParallelPlanner`, which runs the
+//! same sweep and must match it bit for bit.
 
 use crate::candidate::{
     evaluate_candidate, micro_batch_candidates, stage_bound_sets, strategy_sets, CandidateResult,
@@ -22,7 +23,7 @@ use crate::reference::DirectStageDp;
 use galvatron_cluster::{ClusterError, ClusterTopology, MIB};
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::ModelSpec;
-use galvatron_obs::{MetricsRegistry, Obs};
+use galvatron_obs::MetricsRegistry;
 use galvatron_strategy::{Paradigm, ParallelPlan, PipelineSchedule};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -51,7 +52,8 @@ pub struct OptimizerConfig {
     pub allow_pipeline: bool,
     /// Optional cap on the PP degree.
     pub max_pp_degree: Option<usize>,
-    /// Apply Takeaway #3 pruning (disable for the ablation bench).
+    /// Apply Takeaway #3 pruning (the `planner_sweep` ablation rows turn
+    /// it off).
     pub takeaway3: bool,
     /// Pipeline execution schedule for multi-stage plans. The paper
     /// evaluates GPipe; 1F1B (PipeDream-flush) is the implemented
@@ -306,28 +308,17 @@ pub fn batch_candidates(step: usize, max: usize, sub_step: bool) -> Vec<usize> {
     out
 }
 
-/// The Galvatron automatic-parallelism planner.
+/// The serial reference implementation of Algorithm 1, kept for tests and
+/// the `planner_sweep` bench to compare the production planner against.
 #[derive(Debug, Clone)]
 pub struct GalvatronOptimizer {
     config: OptimizerConfig,
-    obs: Obs,
 }
 
 impl GalvatronOptimizer {
     /// Build a planner.
     pub fn new(config: OptimizerConfig) -> Self {
-        GalvatronOptimizer {
-            config,
-            obs: Obs::noop(),
-        }
-    }
-
-    /// Attach a telemetry handle: every [`optimize`](Self::optimize) call
-    /// records its [`SearchStats`] into the registry and emits a
-    /// `dp_search` span.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
+        GalvatronOptimizer { config }
     }
 
     /// The configuration.
@@ -461,16 +452,6 @@ impl GalvatronOptimizer {
         }
 
         stats.search_seconds = started.elapsed().as_secs_f64();
-        stats.record_to(self.obs.registry());
-        self.obs
-            .span("dp_search")
-            .field("model", model.name.as_str())
-            .field("n_devices", n)
-            .field("batches_explored", stats.batches_explored)
-            .field("dp_invocations", stats.dp_invocations)
-            .field("dp_cells", stats.dp_cells_evaluated)
-            .field("feasible", best.is_some())
-            .finish();
         Ok(best.map(|mut outcome| {
             outcome.stats = stats;
             outcome

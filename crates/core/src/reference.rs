@@ -5,8 +5,8 @@
 //! Production planning never runs it: the planner answers every query with
 //! the bit-identical [`ArenaStageDp`](crate::arena::ArenaStageDp). Only the
 //! serial baseline ([`GalvatronOptimizer`](crate::GalvatronOptimizer)), the
-//! oracle and fuzz suites, the `fig4` binary and the `search_scaling` bench
-//! call [`solve`] or [`DirectStageDp`].
+//! oracle and fuzz suites and the `fig4` binary call [`solve`] or
+//! [`DirectStageDp`].
 
 use crate::dp::{DirectCosts, DpResult, StageCostProvider, StageDp, StageDpQuery};
 use galvatron_cluster::ClusterError;

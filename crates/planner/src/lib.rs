@@ -1,10 +1,14 @@
-//! `galvatron-planner`: the production planning front-end.
+//! `galvatron-planner`: the production planning front-end, and the only
+//! Algorithm-1 loop production code calls — the CLI, the plan service, the
+//! baseline rows, the BMW study and the paper-figure binaries all plan
+//! through [`ParallelPlanner`].
 //!
 //! [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer) runs
-//! Algorithm 1 serially through the reference solver — the baseline. This
-//! crate runs the *same* search — the same candidate space, the same
-//! early-stop rule, the same tie-breaking — on a work-stealing worker pool
-//! over the production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp)
+//! Algorithm 1 serially through the reference solver; tests and the
+//! `planner_sweep` bench keep it as the baseline. This crate runs the
+//! *same* search — the same candidate space, the same early-stop rule,
+//! the same tie-breaking — on a work-stealing worker pool over the
+//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp)
 //! (fed interned kernels by the
 //! [`IncrementalEngine`](galvatron_core::IncrementalEngine) when
 //! `incremental` is on), with two accelerations layered on top:

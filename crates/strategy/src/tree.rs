@@ -183,7 +183,7 @@ impl DecisionTreeBuilder {
     }
 
     /// Enable/disable Takeaway #3 pruning (disabled = the 34-candidate raw
-    /// space; used by the ablation bench).
+    /// space; priced by the `planner_sweep` ablation rows).
     pub fn with_takeaway3(mut self, enabled: bool) -> Self {
         self.prune_dp_sdp_mix = enabled;
         self

@@ -49,14 +49,14 @@ fn main() {
         ),
     ];
 
-    let optimizer = GalvatronOptimizer::new(OptimizerConfig {
+    let planner = ParallelPlanner::with_optimizer(OptimizerConfig {
         max_batch: 128,
         ..OptimizerConfig::default()
     });
 
     for (name, topo) in fabrics {
         println!("=== {name} (island size {}) ===", topo.island_size());
-        match optimizer
+        match planner
             .optimize(&model, &topo, budget)
             .expect("topology lookups succeed")
         {

@@ -33,12 +33,12 @@ fn main() {
 
     // At sequence length 1024 and fp32, GPT2-XL stashes ~18 GB of
     // activations per sample — the planner must explore batches below 8.
-    let optimizer = GalvatronOptimizer::new(OptimizerConfig {
+    let planner = ParallelPlanner::with_optimizer(OptimizerConfig {
         max_batch: 64,
         sub_step_batches: true,
         ..OptimizerConfig::default()
     });
-    let outcome = optimizer
+    let outcome = planner
         .optimize(&model, &cluster, 20 * GIB)
         .expect("topology lookups succeed")
         .expect("GPT2-XL fits 20 GiB on 8 GPUs");

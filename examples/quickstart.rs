@@ -26,11 +26,11 @@ fn main() {
 
     // 3. Run Algorithm 1: sweep batch sizes and pipeline degrees, search
     //    per-layer hybrid strategies with the Eq. 1 dynamic program.
-    let optimizer = GalvatronOptimizer::new(OptimizerConfig {
+    let planner = ParallelPlanner::with_optimizer(OptimizerConfig {
         max_batch: 128,
         ..OptimizerConfig::default()
     });
-    let outcome = optimizer
+    let outcome = planner
         .optimize(&model, &cluster, 8 * GIB)
         .expect("topology lookups succeed")
         .expect("ViT-Huge fits an 8 GB budget");

@@ -29,13 +29,13 @@ fn main() {
         );
     }
 
-    let optimizer = GalvatronOptimizer::new(OptimizerConfig {
+    let planner = ParallelPlanner::with_optimizer(OptimizerConfig {
         max_batch: 256,
         ..OptimizerConfig::default()
     });
 
     for budget_gb in [8u64, 12, 16, 20] {
-        let Some(outcome) = optimizer
+        let Some(outcome) = planner
             .optimize(&model, &cluster, budget_gb * GIB)
             .expect("topology lookups succeed")
         else {

@@ -20,6 +20,28 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> every bench target in crates/* is run below by name"
+# A bench no gate runs compiles on every clippy pass and measures nothing;
+# declaring one means adding its `cargo bench ... --bench <name>` line here.
+# Targets are the [[bench]] entries plus the auto-discovered benches/*.rs.
+for manifest in crates/*/Cargo.toml; do
+    crate_dir=$(dirname "$manifest")
+    benches=$({
+        awk '/^\[\[bench\]\]/ { in_bench = 1; next }
+             /^\[/ { in_bench = 0 }
+             in_bench && $1 == "name" { gsub(/"/, "", $3); print $3 }' "$manifest"
+        for file in "$crate_dir"/benches/*.rs; do
+            if [ -e "$file" ]; then basename "$file" .rs; fi
+        done
+    } | sort -u)
+    for name in $benches; do
+        if ! grep -Eq "^cargo bench .*--bench ${name}( |$)" scripts/check.sh; then
+            echo "$crate_dir has bench target '$name', which scripts/check.sh never runs" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 

@@ -60,11 +60,11 @@
 //! let model = PaperModel::VitHuge32.spec();
 //!
 //! // Find the optimal hybrid plan under an 8 GiB per-device budget.
-//! let optimizer = GalvatronOptimizer::new(OptimizerConfig {
+//! let planner = ParallelPlanner::with_optimizer(OptimizerConfig {
 //!     max_batch: 64, // keep the doctest quick; the default sweeps to 4096
 //!     ..OptimizerConfig::default()
 //! });
-//! let best = optimizer
+//! let best = planner
 //!     .optimize(&model, &cluster, 8 * GIB)
 //!     .expect("topology lookups succeed")
 //!     .expect("a feasible plan exists");
@@ -95,8 +95,8 @@ pub mod prelude {
         GpuSpec, Link, LinkClass, TestbedPreset, GIB, MIB,
     };
     pub use galvatron_core::{
-        explain_plan, GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
-        PlanExplanation, RecomputeMode,
+        explain_plan, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, PlanExplanation,
+        RecomputeMode,
     };
     pub use galvatron_elastic::{
         ElasticConfig, ElasticOutcome, ElasticRuntime, FaultEvent, FaultKind, FaultSchedule,

@@ -2,6 +2,7 @@
 //! reports round-trip through JSON.
 
 use galvatron::prelude::*;
+use galvatron_core::GalvatronOptimizer;
 use galvatron_strategy::Paradigm;
 
 fn plan_fixture() -> (galvatron::model::ModelSpec, ParallelPlan) {

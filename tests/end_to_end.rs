@@ -3,6 +3,7 @@
 
 use galvatron::baselines::{BaselinePlanner, BaselineStrategy};
 use galvatron::prelude::*;
+use galvatron_core::GalvatronOptimizer;
 
 fn quick_config() -> OptimizerConfig {
     OptimizerConfig {

@@ -6,6 +6,7 @@
 use galvatron::cluster::topology::TopologyLevel;
 use galvatron::core::PipelinePartitioner;
 use galvatron::prelude::*;
+use galvatron_core::GalvatronOptimizer;
 
 /// Two islands: four A100s and four RTX TITANs, joined by InfiniBand.
 fn mixed_cluster() -> ClusterTopology {

@@ -6,6 +6,7 @@
 
 use galvatron::model::DType;
 use galvatron::prelude::*;
+use galvatron_core::GalvatronOptimizer;
 use galvatron_strategy::{IntraStageStrategy, Paradigm};
 
 /// Mixed-precision Adam: fp16 params (2) + fp16 grads (2) + fp32 master,

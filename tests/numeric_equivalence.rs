@@ -152,6 +152,7 @@ fn planner_output_executes_equivalently() {
     // Close the full loop: a plan produced by the actual Galvatron search
     // (on a toy model description) executes gradient-equivalently.
     use galvatron::prelude::*;
+    use galvatron_core::GalvatronOptimizer;
 
     let n_layers = 4;
     // Describe a matching toy workload to the planner: any small model

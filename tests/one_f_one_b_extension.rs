@@ -7,6 +7,7 @@
 use galvatron::core::PipelinePartitioner;
 use galvatron::prelude::*;
 use galvatron::strategy::PipelineSchedule;
+use galvatron_core::GalvatronOptimizer;
 use galvatron_strategy::IntraStageStrategy;
 
 fn pipeline_plan(

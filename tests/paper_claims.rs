@@ -4,6 +4,7 @@ use galvatron::baselines::{BaselinePlanner, BaselineStrategy};
 use galvatron::prelude::*;
 use galvatron::strategy::tree::total_candidates_across_pp;
 use galvatron_cluster::collectives::{all_gather, all_reduce, reduce_scatter};
+use galvatron_core::GalvatronOptimizer;
 
 #[test]
 fn figure2_search_space_counts() {

@@ -6,6 +6,8 @@
 //! come back infeasible.
 
 use galvatron::prelude::*;
+use galvatron_baselines::optimizer_config_for;
+use galvatron_bmw::{BmwPlanner, VARIANTS};
 use galvatron_core::{
     GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
     RecomputeMode,
@@ -84,7 +86,51 @@ fn parallel_matches_serial_across_the_zoo() {
             );
         }
     }
+
+    // The production callers that plan through the parallel planner with
+    // their own search configurations: the three automatic baseline rows
+    // and the four BMW knob corners, on a sub-grid that keeps the serial
+    // reference cheap.
+    let baselines = BaselinePlanner::new(topology.clone(), config());
+    let bmw = BmwPlanner::new(config());
+    for (model, budget_gb) in MOVED_CALLER_POINTS {
+        let spec = model.spec();
+        let budget = budget_gb * GIB;
+        let what = |row: &str| format!("{row}: {} @ {budget_gb}G", model.name());
+        for strategy in BaselineStrategy::ALL {
+            let Some(optimizer) = optimizer_config_for(strategy, &config()) else {
+                continue;
+            };
+            let reference = GalvatronOptimizer::new(optimizer)
+                .optimize(&spec, &topology, budget)
+                .unwrap();
+            let candidate = baselines.plan(strategy, &spec, budget).unwrap();
+            assert_same(&reference, &candidate, &what(strategy.label()));
+        }
+        for variant in VARIANTS {
+            let reference = GalvatronOptimizer::new(bmw.variant_config(variant))
+                .optimize(&spec, &topology, budget)
+                .unwrap();
+            let candidate = bmw
+                .optimize_variant(variant, &spec, &topology, budget)
+                .unwrap()
+                .outcome;
+            assert_same(&reference, &candidate, &what(variant.name()));
+        }
+    }
 }
+
+/// The `(model, budget GiB)` points the moved callers are checked on: each
+/// model family once, plus the 6 GiB point where BMW unlocks BERT-Huge-48.
+/// The serial reference costs ~10 s here, a seventh of the full zoo grid.
+const MOVED_CALLER_POINTS: [(PaperModel, u64); 6] = [
+    (PaperModel::BertHuge32, 6),
+    (PaperModel::BertHuge32, 12),
+    (PaperModel::BertHuge48, 6),
+    (PaperModel::VitXHuge, 6),
+    (PaperModel::T5Large32, 8),
+    (PaperModel::SwinHuge32, 8),
+];
 
 #[test]
 fn outcome_is_invariant_in_the_worker_count() {

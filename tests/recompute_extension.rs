@@ -3,6 +3,7 @@
 //! them as our future work") and this repository implements end-to-end.
 
 use galvatron::prelude::*;
+use galvatron_core::GalvatronOptimizer;
 use galvatron_strategy::Paradigm;
 
 fn dp8_plan(model: &galvatron::model::ModelSpec, batch: usize) -> ParallelPlan {
