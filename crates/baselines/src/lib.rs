@@ -196,7 +196,6 @@ impl BaselinePlanner {
                     // Table harnesses parallelise across cells, not within
                     // one search.
                     jobs: 1,
-                    incremental: false,
                     ..PlannerConfig::default()
                 })
                 .with_obs(self.obs.clone());
@@ -206,7 +205,6 @@ impl BaselinePlanner {
                         &self.topology,
                         budget_bytes,
                         Some(cache),
-                        None,
                     ),
                     None => planner.optimize(model, &self.topology, budget_bytes),
                 }

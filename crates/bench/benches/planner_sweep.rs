@@ -1,15 +1,15 @@
-//! The incremental-DP sweep benchmark: Algorithm 1's Table-1 study (the
-//! paper's 8-GPU testbed, every Table-1 model × the 8/12/16/20 GB budget
-//! grid) planned three ways —
+//! The planner sweep benchmark: Algorithm 1's Table-1 study (the paper's
+//! 8-GPU testbed, every Table-1 model × the 8/12/16/20 GB budget grid)
+//! planned three ways —
 //!
 //! * `serial` — the serial [`GalvatronOptimizer`], one independent search
-//!   per point (the pre-incremental baseline);
-//! * `incremental-cold` — the same sweep through the production stack
-//!   (planner + arena DP + shared [`DpCache`] + shared
-//!   [`IncrementalEngine`]), starting from empty reuse structures;
-//! * `incremental-warm` — the same sweep again against the now-warm
-//!   structures, i.e. what a plan service or an elastic re-planner pays for
-//!   a repeated study.
+//!   per point (the reference baseline);
+//! * `planner-cold` — the same sweep through the production stack
+//!   (planner + arena DP + shared [`DpCache`] + bound pruning), starting
+//!   from an empty cache;
+//! * `planner-warm` — the same sweep again against the now-warm cache,
+//!   i.e. what a plan service or an elastic re-planner pays for a repeated
+//!   study.
 //!
 //! A second, single-point scaling study plans the 100-layer BERT stack on
 //! the Table-4 A100×64 testbed (`serial-64gpu-100l` vs
@@ -23,10 +23,9 @@
 //!
 //! An ablation lane measures what each reuse layer earns: the cold sweep,
 //! the warm sweep and the scale point are re-run with exactly one planner
-//! knob off — `use_cache` (the stage-DP memo cache), `incremental` (the
-//! kernel intern table and feasibility ledger) or `prune` (the
-//! throughput-bound gate) — as rows suffixed `/no-cache`, `/no-intern` and
-//! `/no-prune`, each held to the same bit-identity check.
+//! knob off — `use_cache` (the stage-DP memo cache) or `prune` (the
+//! throughput-bound gate) — as rows suffixed `/no-cache` and `/no-prune`,
+//! each held to the same bit-identity check.
 //!
 //! A second ablation lane prices two of the paper's search knobs on one
 //! point each through the production planner (`jobs = 1`): Takeaway #3
@@ -49,8 +48,7 @@
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
 use galvatron_cluster::{ClusterTopology, TestbedPreset, GIB, MIB};
 use galvatron_core::{
-    GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
-    RecomputeMode,
+    GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, RecomputeMode,
 };
 use galvatron_model::{GptConfig, ModelSpec, PaperModel};
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
@@ -74,14 +72,12 @@ const COLD_REPS: usize = 3;
 const WARM_REPS: usize = 3;
 const ABLATION_REPS: usize = 3;
 
-/// The production planner (every reuse layer on) and the three ablations,
-/// each with exactly one layer off: `(row suffix, use_cache, incremental,
-/// prune)`.
-const VARIANTS: [(&str, bool, bool, bool); 4] = [
-    ("", true, true, true),
-    ("/no-cache", false, true, true),
-    ("/no-intern", true, false, true),
-    ("/no-prune", true, true, false),
+/// The production planner (every reuse layer on) and the two ablations,
+/// each with exactly one layer off: `(row suffix, use_cache, prune)`.
+const VARIANTS: [(&str, bool, bool); 3] = [
+    ("", true, true),
+    ("/no-cache", false, true),
+    ("/no-prune", true, false),
 ];
 
 fn config() -> OptimizerConfig {
@@ -103,20 +99,13 @@ fn bmw_config() -> OptimizerConfig {
     }
 }
 
-fn planner(
-    optimizer: OptimizerConfig,
-    use_cache: bool,
-    incremental: bool,
-    prune: bool,
-) -> ParallelPlanner {
+fn planner(optimizer: OptimizerConfig, use_cache: bool, prune: bool) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer,
         jobs: 1,
         use_cache,
         prune,
-        incremental,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     })
 }
 
@@ -154,12 +143,12 @@ impl Study {
         (best, baseline)
     }
 
-    /// One timed planner pass against `reuse`, checked point by point
+    /// One timed planner pass against `cache`, checked point by point
     /// against the serial `baseline`.
     fn pass(
         &self,
         planner: &ParallelPlanner,
-        reuse: &Reuse,
+        cache: Option<&DpCache>,
         baseline: &[Option<OptimizeOutcome>],
         what: &str,
     ) -> (f64, Vec<Option<OptimizeOutcome>>) {
@@ -169,13 +158,7 @@ impl Study {
             .iter()
             .map(|(_, spec, budget)| {
                 planner
-                    .optimize_with_reuse(
-                        spec,
-                        &self.topology,
-                        budget * GIB,
-                        reuse.0.as_ref(),
-                        reuse.1.as_ref(),
-                    )
+                    .optimize_with_reuse(spec, &self.topology, budget * GIB, cache)
                     .expect("well-formed testbed")
             })
             .collect();
@@ -187,16 +170,6 @@ impl Study {
         }
         (seconds, outcomes)
     }
-}
-
-/// The reuse structures one planner variant searches against.
-type Reuse = (Option<DpCache>, Option<IncrementalEngine>);
-
-fn fresh_reuse(use_cache: bool, incremental: bool) -> Reuse {
-    (
-        use_cache.then(DpCache::new),
-        incremental.then(IncrementalEngine::new),
-    )
 }
 
 fn assert_same(
@@ -220,7 +193,7 @@ fn assert_same(
             );
         }
         (a, b) => panic!(
-            "{what}: feasibility diverged (serial {}, incremental {})",
+            "{what}: feasibility diverged (serial {}, planner {})",
             a.is_some(),
             b.is_some()
         ),
@@ -237,9 +210,6 @@ struct SweepRow {
     feasible_points: usize,
     cache_hits: usize,
     cache_misses: usize,
-    intern_hits: usize,
-    intern_misses: usize,
-    ledger_hits: usize,
     arena_solves: usize,
     dominated_pruned: usize,
     minplus_pairs: usize,
@@ -270,9 +240,6 @@ impl SweepRow {
             row.feasible_points += 1;
             row.cache_hits += stats.cache_hits;
             row.cache_misses += stats.cache_misses;
-            row.intern_hits += stats.intern_hits;
-            row.intern_misses += stats.intern_misses;
-            row.ledger_hits += stats.ledger_hits;
             row.arena_solves += stats.arena_solves;
             row.dominated_pruned += stats.dominated_pruned;
             row.minplus_pairs += stats.minplus_pairs;
@@ -284,7 +251,7 @@ impl SweepRow {
 }
 
 /// One knob setting of the ablation lane: a single point planned through
-/// the production planner with fresh reuse structures per repetition.
+/// the production planner with a fresh cache per repetition.
 #[derive(Debug, Serialize)]
 struct AblationRow {
     configuration: String,
@@ -305,7 +272,7 @@ fn ablation_row(
     model: &ModelSpec,
     budget_gib: u64,
 ) -> AblationRow {
-    let planner = planner(config, true, true, true);
+    let planner = planner(config, true, true);
     let mut seconds = f64::INFINITY;
     let mut outcome = None;
     for _ in 0..ABLATION_REPS {
@@ -392,30 +359,29 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-/// The cold row of `study` for one planner variant (fresh reuse structures
-/// per repetition, min-of-N) and, when `warm_name` is set, the warm row
-/// against the last cold repetition's structures.
+/// The cold row of `study` for one planner variant (a fresh cache per
+/// repetition, min-of-N) and, when `warm_name` is set, the warm row
+/// against the last cold repetition's cache.
 fn variant_rows(
     study: &Study,
     baseline: &[Option<OptimizeOutcome>],
     serial_seconds: f64,
-    (suffix, use_cache, incremental, prune): (&str, bool, bool, bool),
+    (suffix, use_cache, prune): (&str, bool, bool),
     cold_name: &str,
     warm_name: Option<&str>,
     rows: &mut Vec<SweepRow>,
 ) {
-    let planner = planner(study.config.clone(), use_cache, incremental, prune);
+    let planner = planner(study.config.clone(), use_cache, prune);
     let cold_name = format!("{cold_name}{suffix}");
     let mut cold = (f64::INFINITY, Vec::new());
-    let mut reuse = None;
+    let mut cache = None;
     for _ in 0..COLD_REPS {
-        let fresh = fresh_reuse(use_cache, incremental);
-        let (seconds, outcomes) = study.pass(&planner, &fresh, baseline, &cold_name);
+        let fresh = use_cache.then(DpCache::new);
+        let (seconds, outcomes) = study.pass(&planner, fresh.as_ref(), baseline, &cold_name);
         cold.0 = cold.0.min(seconds);
         cold.1 = outcomes;
-        reuse = Some(fresh);
+        cache = fresh;
     }
-    let reuse = reuse.expect("cold repetitions ran");
     rows.push(SweepRow::new(
         cold_name,
         cold.0,
@@ -429,7 +395,7 @@ fn variant_rows(
     let warm_name = format!("{warm_name}{suffix}");
     let mut warm = (f64::INFINITY, Vec::new());
     for rep in 0..WARM_REPS {
-        let (seconds, outcomes) = study.pass(&planner, &reuse, baseline, &warm_name);
+        let (seconds, outcomes) = study.pass(&planner, cache.as_ref(), baseline, &warm_name);
         warm.0 = warm.0.min(seconds);
         if rep == 0 {
             warm.1 = outcomes;
@@ -494,8 +460,8 @@ fn run_table1_sweep() {
             &baseline,
             serial_secs,
             variant,
-            "incremental-cold",
-            Some("incremental-warm"),
+            "planner-cold",
+            Some("planner-warm"),
             &mut rows,
         );
     }
@@ -536,24 +502,18 @@ fn run_table1_sweep() {
     );
 
     // Table-4 spot check: the 64-GPU A100 path must agree with the serial
-    // optimizer through the incremental stack too (equality only — the
+    // optimizer through the production stack too (equality only — the
     // timing study is above).
     let serial = GalvatronOptimizer::new(config());
-    let spot = planner(config(), true, true, true);
-    let reuse = fresh_reuse(true, true);
+    let spot = planner(config(), true, true);
+    let cache = DpCache::new();
     for model in galvatron_bench::paper::TABLE4_MODELS {
         let spec = model.spec();
         let reference = serial
             .optimize(&spec, &scale.topology, 16 * GIB)
             .expect("well-formed");
         let candidate = spot
-            .optimize_with_reuse(
-                &spec,
-                &scale.topology,
-                16 * GIB,
-                reuse.0.as_ref(),
-                reuse.1.as_ref(),
-            )
+            .optimize_with_reuse(&spec, &scale.topology, 16 * GIB, Some(&cache))
             .expect("well-formed");
         assert_same(
             &reference,
@@ -572,16 +532,13 @@ fn run_table1_sweep() {
     );
     for row in &rows {
         println!(
-            "  {:<32} {:.3}s  ({:.2}x; cache {}h/{}m, intern {}h/{}m, {} ledger hits, \
+            "  {:<32} {:.3}s  ({:.2}x; cache {}h/{}m, \
              {} arena solves, {} dominated, {}/{} min-plus pairs, {} pruned)",
             row.configuration,
             row.seconds,
             row.speedup_vs_serial,
             row.cache_hits,
             row.cache_misses,
-            row.intern_hits,
-            row.intern_misses,
-            row.ledger_hits,
             row.arena_solves,
             row.dominated_pruned,
             row.minplus_pairs,
@@ -635,7 +592,7 @@ fn run_table1_sweep() {
             .find(|r| r.configuration == name)
             .unwrap_or_else(|| panic!("{name} row recorded"))
     };
-    let cold = row("incremental-cold");
+    let cold = row("planner-cold");
     assert!(
         cold.speedup_vs_serial >= COLD_SPEEDUP_FLOOR,
         "cold sweep must be ≥{COLD_SPEEDUP_FLOOR}× the serial baseline, \
@@ -649,10 +606,10 @@ fn run_table1_sweep() {
          ≥{SCALE_COLD_SPEEDUP_FLOOR}× its serial baseline, measured {:.2}×",
         scale.speedup_vs_serial
     );
-    let warm = row("incremental-warm");
+    let warm = row("planner-warm");
     assert!(
         warm.speedup_vs_serial >= WARM_SPEEDUP_FLOOR,
-        "warm incremental sweep must be ≥{WARM_SPEEDUP_FLOOR}× the serial baseline, \
+        "warm planner sweep must be ≥{WARM_SPEEDUP_FLOOR}× the serial baseline, \
          measured {:.2}×",
         warm.speedup_vs_serial
     );

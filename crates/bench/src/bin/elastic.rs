@@ -41,9 +41,7 @@ fn planner_config(jobs: usize) -> PlannerConfig {
         jobs,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     }
 }
 

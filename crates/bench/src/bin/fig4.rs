@@ -133,9 +133,7 @@ fn main() {
             jobs,
             use_cache: true,
             prune: true,
-            incremental: true,
-            cache_max_entries: None,
-            intern_max_entries: None,
+            ..PlannerConfig::default()
         })
         .with_obs(obs.clone());
         let started = Instant::now();

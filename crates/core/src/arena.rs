@@ -5,10 +5,9 @@
 //! The reference solver is simple, obviously faithful to Eq. 1, and kept
 //! untouched as the oracle every other path is differenced against. This
 //! module is the production path — [`ArenaStageDp`] is the one solver the
-//! planner runs, over whichever [`StageCostProvider`] it is handed (the
-//! bound incremental engine's intern table, or
-//! [`DirectCosts`](crate::dp::DirectCosts)). It
-//! computes the exact same
+//! planner runs, over the [`StageCostProvider`] it is handed
+//! ([`DirectCosts`](crate::dp::DirectCosts) in production). It computes the
+//! exact same
 //! [`DpResult`] (every `f64` bit, every tie-break) while removing the four
 //! dominant costs of a cold solve:
 //!
@@ -25,8 +24,7 @@
 //!    uniform transformers have `C ≈ 3`: embedding, encoder, head). Cost,
 //!    memory and transformation kernels are fetched once per class instead
 //!    of once per layer — `O(C·|S|²)` provider queries instead of
-//!    `O(L·|S|²)` — which also shrinks intern-table traffic by the same
-//!    factor. The replayed values are the provider's own returns for a
+//!    `O(L·|S|²)`. The replayed values are the provider's own returns for a
 //!    layer of identical geometry, so every table entry is bit-equal to
 //!    what the reference solver would have fetched.
 //!
@@ -708,8 +706,8 @@ pub fn dp_search_arena(
 
 /// The production [`StageDp`]: every query runs [`dp_search_arena`] on the
 /// thread-local scratch, with kernels from the provider it was built over —
-/// the planner hands it the bound incremental engine (interned kernels) or
-/// [`DirectCosts`](crate::dp::DirectCosts). Counts its solves, the
+/// the planner hands it [`DirectCosts`](crate::dp::DirectCosts). Counts its
+/// solves, the
 /// dominance prefilter's removed slots and the min-plus pairs folded
 /// against the dense count.
 pub struct ArenaStageDp<'p> {

@@ -105,18 +105,12 @@ impl std::fmt::Display for RecomputeMode {
 /// per-layer memory `O(l, s)` and the Slice-Gather transformation
 /// `R(l, s_i, s_j)`.
 ///
-/// [`DirectCosts`] calls the estimator every time (the historical
-/// behaviour); the incremental engine
-/// ([`EvalTable`](crate::incremental::EvalTable)) substitutes a
-/// structure-shared intern table so Algorithm 1's outer sweep reuses kernel
-/// evaluations across adjacent batch sizes, PP degrees, partitioner
-/// guidelines and stage shapes. Implementations must return **exactly** the
-/// estimator's values (a memoized result is the estimator's own earlier
-/// return), which keeps every DP answer bit-identical to a direct solve.
+/// [`DirectCosts`], the one production provider, calls the estimator every
+/// time; test and benchmark wrappers (call counters, timers) delegate to it.
+/// Implementations must return **exactly** the estimator's values, which
+/// keeps every DP answer bit-identical to a direct solve.
 ///
-/// Layer coordinates are *global* model-layer indices (`model.layers[l]`),
-/// so evaluations interned for one stage shape are reusable by any other
-/// stage whose range overlaps it.
+/// Layer coordinates are *global* model-layer indices (`model.layers[l]`).
 pub trait StageCostProvider {
     /// `c(l, s)` for a micro-batch of `micro` samples on the group starting
     /// at `base`.
@@ -158,7 +152,7 @@ pub trait StageCostProvider {
     /// per-layer recompute decision (the fifth DP dimension). The default
     /// routes `recompute = false` through the historical kernel (bit-identity
     /// for [`RecomputeMode::Off`]) and prices the recompute plane directly
-    /// via the estimator; interning providers override to memoize both.
+    /// via the estimator.
     #[allow(clippy::too_many_arguments)]
     fn layer_cost_rc(
         &self,

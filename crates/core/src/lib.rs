@@ -25,7 +25,6 @@ pub mod arena;
 pub mod candidate;
 pub mod dp;
 pub mod explain;
-pub mod incremental;
 pub mod optimizer;
 pub mod partition;
 pub mod reference;
@@ -39,9 +38,5 @@ pub use dp::{
     dp_feasible, DirectCosts, DpResult, RecomputeMode, StageCostProvider, StageDp, StageDpQuery,
 };
 pub use explain::{explain_plan, LayerExplanation, PlanExplanation, StageExplanation};
-pub use incremental::{
-    context_fingerprint, BoundIncrementalDp, EvalTable, FeasibilityLedger, IncrementalCounters,
-    IncrementalEngine,
-};
 pub use optimizer::{GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, SearchStats};
 pub use partition::{partition_memory_balanced, PipelinePartitioner};

@@ -137,20 +137,23 @@ pub struct SearchStats {
     /// Stage-DP memoization cache misses (0 without a cache).
     #[serde(default)]
     pub cache_misses: usize,
-    /// Kernel evaluations answered from the incremental engine's intern
-    /// table (0 without an engine).
+    /// No longer incremented: always 0. The kernel intern table it counted
+    /// hits on was removed (it cost more than it saved). Kept, like the
+    /// three fields below, so the benchmark and serialized stats still
+    /// compile and parse.
     #[serde(default)]
     pub intern_hits: usize,
-    /// Kernel evaluations the incremental engine had to compute and intern
-    /// (0 without an engine).
+    /// No longer incremented: always 0 (intern table removed; see
+    /// [`intern_hits`](Self::intern_hits)).
     #[serde(default)]
     pub intern_misses: usize,
-    /// Feasibility questions answered by the monotone-memory ledger
-    /// (0 without an engine).
+    /// No longer incremented: always 0. The monotone-memory feasibility
+    /// ledger it counted was removed; every candidate stage is screened by
+    /// the exact [`dp_feasible`](crate::dp::dp_feasible) check instead.
     #[serde(default)]
     pub ledger_hits: usize,
-    /// Feasibility questions the ledger had to compute (0 without an
-    /// engine).
+    /// No longer incremented: always 0 (ledger removed; see
+    /// [`ledger_hits`](Self::ledger_hits)).
     #[serde(default)]
     pub ledger_misses: usize,
     /// No longer incremented: always 0. The planner screens every stage
@@ -191,13 +194,6 @@ impl SearchStats {
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }
 
-    /// Intern-table hit rate in `[0, 1]`, or `None` when no incremental
-    /// engine was consulted.
-    pub fn intern_hit_rate(&self) -> Option<f64> {
-        let total = self.intern_hits + self.intern_misses;
-        (total > 0).then(|| self.intern_hits as f64 / total as f64)
-    }
-
     /// The slowest single candidate evaluation, seconds.
     pub fn max_candidate_seconds(&self) -> f64 {
         self.candidate_seconds.iter().cloned().fold(0.0, f64::max)
@@ -232,18 +228,6 @@ impl SearchStats {
         registry
             .counter("dp_cache_misses")
             .inc_by(self.cache_misses as u64);
-        registry
-            .counter("dp_intern_hits")
-            .inc_by(self.intern_hits as u64);
-        registry
-            .counter("dp_intern_misses")
-            .inc_by(self.intern_misses as u64);
-        registry
-            .counter("dp_ledger_hits")
-            .inc_by(self.ledger_hits as u64);
-        registry
-            .counter("dp_ledger_misses")
-            .inc_by(self.ledger_misses as u64);
         registry
             .counter("dp_arena_solves")
             .inc_by(self.arena_solves as u64);

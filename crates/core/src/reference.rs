@@ -13,10 +13,8 @@ use galvatron_cluster::ClusterError;
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
 
-/// Run Eq. 1 for one query with kernels from `provider`. With
-/// [`DirectCosts`] this is the historical solver; with an interning
-/// provider every kernel value is the memoized result of an identical
-/// earlier estimator call, so the answer is bit-identical either way.
+/// Run Eq. 1 for one query with kernels from `provider` ([`DirectCosts`]
+/// outside of tests).
 ///
 /// Decisions range over the enlarged space `(strategy, recompute)`, indexed
 /// `d = plane·|S| + s` with the stash plane first, so under the solver's

@@ -4,7 +4,7 @@
 //! ```text
 //! galvatron-served [--addr HOST:PORT] [--workers N] [--queue-capacity Q]
 //!                  [--cache-mib M] [--persist FILE] [--max-batch B]
-//!                  [--jobs J] [--no-cache] [--no-prune] [--no-incremental]
+//!                  [--jobs J] [--no-cache] [--no-prune]
 //! ```
 //!
 //! The daemon prints its bound address on stdout (machine-readable, for
@@ -100,12 +100,11 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ReplicaConfig, Strin
             "--jobs" => planner.jobs = parse(&value("--jobs")?, "--jobs")?,
             "--no-cache" => planner.use_cache = false,
             "--no-prune" => planner.prune = false,
-            "--no-incremental" => planner.incremental = false,
             "--help" | "-h" => {
                 return Err("usage: galvatron-served [--addr HOST:PORT] [--workers N] \
                      [--queue-capacity Q] [--cache-mib M] [--persist FILE] \
                      [--instance NAME] [--max-batch B] [--jobs J] [--no-cache] \
-                     [--no-prune] [--no-incremental]"
+                     [--no-prune]"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),

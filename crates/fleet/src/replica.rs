@@ -183,7 +183,10 @@ type GossipItem = (CacheEntry, Option<TraceContext>, Instant);
 struct Shared {
     id: usize,
     instance: String,
-    /// The planner config's Debug form: gates persisted snapshots.
+    /// The optimizer config's Debug form: gates persisted snapshots. Only
+    /// the optimizer config can change an answer; the planner's worker
+    /// count, cache and pruning switches cannot, so restarting with a
+    /// different setting of those keeps a valid snapshot.
     config_fingerprint: String,
     service: PlanService,
     cache: ResponseCache,
@@ -920,7 +923,7 @@ impl FleetReplica {
             .instance
             .clone()
             .unwrap_or_else(|| format!("replica-{}", config.id));
-        let config_fingerprint = format!("{:?}", config.planner);
+        let config_fingerprint = format!("{:?}", config.planner.optimizer);
         let cache = ResponseCache::new(config.cache_max_bytes);
         if let Some(path) = &config.persist_path {
             let loaded = cache.load(path, &config_fingerprint);

@@ -22,8 +22,7 @@
 //!   deterministic sweep over [`DeviceType`] island mixes.
 //!
 //! Every search runs through the production planner,
-//! [`ParallelPlanner`] (arena DP, memoization cache, interned kernels,
-//! bound pruning), whose plans are bit-identical to the serial reference
+//! [`ParallelPlanner`] (arena DP, memoization cache, bound pruning), whose plans are bit-identical to the serial reference
 //! [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer).
 //!
 //! [`ClusterTopology::stage_usable_budgets`]:
@@ -240,7 +239,7 @@ pub struct HeteroPlanner {
 
 impl HeteroPlanner {
     /// Build a planner over the default parallel front-end (every core,
-    /// memoization, interned kernels and pruning on).
+    /// memoization and pruning on).
     pub fn new(config: OptimizerConfig) -> Self {
         HeteroPlanner {
             planner: ParallelPlanner::with_optimizer(config),

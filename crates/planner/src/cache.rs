@@ -8,18 +8,124 @@
 //! or two service requests over the same model all re-solve identical
 //! stages. The cache keys the *complete* [`StageDpQuery`] (with interned
 //! fingerprints of the model/topology/estimator context — see
-//! [`galvatron_core::context_fingerprint`] — and of the strategy set) and
-//! returns the memoized [`DpResult`] verbatim, so a hit is bit-identical to
-//! a recompute and cannot change any plan. [`CachedStageDp`] layers it over
-//! the planner's [`ArenaStageDp`](galvatron_core::ArenaStageDp).
+//! [`context_fingerprint`] — and of the strategy set) and returns the
+//! memoized [`DpResult`] verbatim, so a hit is bit-identical to a recompute
+//! and cannot change any plan. [`CachedStageDp`] layers it over the
+//! planner's [`ArenaStageDp`](galvatron_core::ArenaStageDp).
 
-use galvatron_core::incremental::Sharded;
 use galvatron_core::{DpResult, StageDp, StageDpQuery};
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
 use parking_lot::Mutex;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Shards per [`Sharded`] map; a key lives in shard
+/// `DefaultHasher(key) % SHARDS`.
+const SHARDS: usize = 16;
+
+/// The fingerprint of everything a stage solve depends on beyond its query:
+/// the model, the topology (prefixed with its structural hash so degraded
+/// clusters can never share entries with healthy ones) and the estimator
+/// configuration. Equal strings ⇒ equal evaluation functions.
+pub fn context_fingerprint(estimator: &CostEstimator, model: &ModelSpec) -> String {
+    format!(
+        "topo#{:016x}|{:?}|{:?}|{:?}",
+        estimator.topology().fingerprint(),
+        model,
+        estimator.topology(),
+        estimator.config()
+    )
+}
+
+/// A stored value plus its last-touch stamp (a tick of the map-wide
+/// logical clock), the recency order bounded maps evict by.
+#[derive(Debug, Clone)]
+struct Stamped<V> {
+    value: V,
+    stamp: u64,
+}
+
+/// A sharded hash map: short critical sections, concurrent shards. The
+/// memo store behind [`DpCache`]. Unbounded by default; [`Sharded::set_cap`]
+/// arms per-shard LRU eviction for long-lived owners (the serve daemon's
+/// cache), with evictions counted in the shared counter. Evicting only
+/// forgets memoized work — the next ask recomputes the identical value — so
+/// no cap setting can change a plan.
+#[derive(Debug)]
+struct Sharded<K, V> {
+    shards: [Mutex<HashMap<K, Stamped<V>>>; SHARDS],
+    clock: AtomicU64,
+    evictions: AtomicUsize,
+    /// Maximum entries per shard; `None` is unbounded.
+    shard_cap: Option<usize>,
+}
+
+impl<K, V> Default for Sharded<K, V> {
+    fn default() -> Self {
+        Sharded {
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            clock: AtomicU64::new(0),
+            evictions: AtomicUsize::new(0),
+            shard_cap: None,
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Sharded<K, V> {
+    /// Bound the map to `max_entries` (enforced per shard as
+    /// `max_entries / SHARDS`, at least 1, so the total never overshoots),
+    /// evicting the least recently touched entries beyond it.
+    fn set_cap(&mut self, max_entries: usize) {
+        self.shard_cap = Some((max_entries / SHARDS).max(1));
+    }
+
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Stamped<V>>> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) % SHARDS]
+    }
+
+    /// The value under `key`, refreshing its recency stamp.
+    fn get(&self, key: &K) -> Option<V> {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut shard = self.shard(key).lock();
+        shard.get_mut(key).map(|entry| {
+            entry.stamp = stamp;
+            entry.value.clone()
+        })
+    }
+
+    /// Store `value` under `key`, evicting beyond the cap.
+    fn insert(&self, key: K, value: V) {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut shard = self.shard(&key).lock();
+        shard.insert(key, Stamped { value, stamp });
+        if let Some(cap) = self.shard_cap {
+            while shard.len() > cap {
+                let oldest = shard
+                    .iter()
+                    .min_by_key(|(_, entry)| entry.stamp)
+                    .map(|(key, _)| key.clone())
+                    .expect("non-empty shard above its cap");
+                shard.remove(&oldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Entries evicted by the cap so far (always 0 unbounded).
+    fn evictions(&self) -> usize {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Entries held.
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+}
 
 /// The complete input of one stage-DP query. `context` and `set` are
 /// interner ids standing for the full (model, topology, estimator config)
@@ -149,8 +255,7 @@ impl DpCache {
 
 /// The memoizing [`StageDp`]: look the query up in the shared cache, run
 /// the wrapped solver on a miss, and store the answer. The planner wraps
-/// its [`ArenaStageDp`](galvatron_core::ArenaStageDp), so whole-query
-/// memoization layers over kernel interning.
+/// its [`ArenaStageDp`](galvatron_core::ArenaStageDp).
 pub struct CachedStageDp<'a> {
     cache: &'a DpCache,
     context: usize,
@@ -159,8 +264,8 @@ pub struct CachedStageDp<'a> {
 
 impl<'a> CachedStageDp<'a> {
     /// Build a cached solver that delegates misses to `inner`. The context
-    /// id must come from [`DpCache::intern`] of
-    /// [`galvatron_core::context_fingerprint`] on the same cache.
+    /// id must come from [`DpCache::intern`] of [`context_fingerprint`] on
+    /// the same cache.
     pub fn over(cache: &'a DpCache, context: usize, inner: &'a dyn StageDp) -> Self {
         CachedStageDp {
             cache,
@@ -203,10 +308,6 @@ impl StageDp for CachedStageDp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use galvatron_core::context_fingerprint;
-    use galvatron_core::incremental::SHARDS;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
 
     #[test]
     fn interning_is_stable_and_collision_free() {

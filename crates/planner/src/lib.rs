@@ -8,10 +8,8 @@
 //! `planner_sweep` bench keep it as the baseline. This crate runs the
 //! *same* search — the same candidate space, the same early-stop rule,
 //! the same tie-breaking — on a work-stealing worker pool over the
-//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp)
-//! (fed interned kernels by the
-//! [`IncrementalEngine`](galvatron_core::IncrementalEngine) when
-//! `incremental` is on), with two accelerations layered on top:
+//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp),
+//! with two accelerations layered on top:
 //!
 //! * a **shared stage-DP memoization cache** ([`DpCache`]): Eq. 1
 //!   sub-problems recur across partitioner guidelines, PP degrees, budget
@@ -37,11 +35,11 @@ pub mod cache;
 pub mod service;
 mod sweep;
 
-pub use cache::{CacheCounters, CachedStageDp, DpCache};
+pub use cache::{context_fingerprint, CacheCounters, CachedStageDp, DpCache};
 pub use service::{PlanRequest, PlanResponse, PlanService};
 
 use galvatron_cluster::{ClusterError, ClusterTopology};
-use galvatron_core::{IncrementalEngine, OptimizeOutcome, OptimizerConfig};
+use galvatron_core::{OptimizeOutcome, OptimizerConfig};
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
 use galvatron_obs::Obs;
@@ -60,13 +58,10 @@ pub struct PlannerConfig {
     pub use_cache: bool,
     /// Skip candidates whose throughput upper bound cannot beat the best.
     pub prune: bool,
-    /// Route kernel evaluations through the incremental engine's shared
-    /// intern table and feasibility checks through its monotone-memory
-    /// ledger (bit-identical plans; see
-    /// [`IncrementalEngine`](galvatron_core::IncrementalEngine)). Configs
-    /// serialized before this field existed deserialize to `false`
-    /// (engine off), the conservative pre-existing behaviour; fresh
-    /// `PlannerConfig::default()` turns it on.
+    /// Ignored. It switched the kernel intern table and feasibility
+    /// ledger, which were removed (they cost more than they saved; plans
+    /// never depended on them). Kept so the benchmark's struct literals and
+    /// serialized configs still compile and parse.
     #[serde(default)]
     pub incremental: bool,
     /// Entry bound on the long-lived stage-DP memoization cache a
@@ -77,9 +72,9 @@ pub struct PlannerConfig {
     /// Eviction only forgets memoized work, so plans are unaffected.
     #[serde(default)]
     pub cache_max_entries: Option<usize>,
-    /// Entry bound on the service's incremental engine (kernel intern
-    /// tables and feasibility ledger), mirroring
-    /// [`cache_max_entries`](Self::cache_max_entries). `None` = unbounded.
+    /// Ignored. It bounded the removed kernel intern table (see
+    /// [`incremental`](Self::incremental)). Kept so the benchmark's struct
+    /// literals and serialized configs still compile and parse.
     #[serde(default)]
     pub intern_max_entries: Option<usize>,
 }
@@ -153,31 +148,22 @@ impl ParallelPlanner {
         budget_bytes: u64,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
         let cache = self.config.use_cache.then(DpCache::new);
-        let engine = self.config.incremental.then(IncrementalEngine::new);
-        self.run(
-            model,
-            topology,
-            budget_bytes,
-            cache.as_ref(),
-            engine.as_ref(),
-        )
+        self.run(model, topology, budget_bytes, cache.as_ref())
     }
 
     /// The fully explicit entry point — the building block of
-    /// [`PlanService`]: run one search against caller-owned reuse
-    /// structures — a (possibly warm) stage-DP memoization cache and/or a
-    /// (possibly warm) incremental engine. Both outlive the call, so later
-    /// searches over the same context start warm. `None` runs without that
-    /// layer, whatever the config's `use_cache` / `incremental` say.
+    /// [`PlanService`]: run one search against a caller-owned, possibly
+    /// warm stage-DP memoization cache. It outlives the call, so later
+    /// searches over the same context start warm. `None` runs without the
+    /// cache, whatever the config's `use_cache` says.
     pub fn optimize_with_reuse(
         &self,
         model: &ModelSpec,
         topology: &ClusterTopology,
         budget_bytes: u64,
         cache: Option<&DpCache>,
-        engine: Option<&IncrementalEngine>,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        self.run(model, topology, budget_bytes, cache, engine)
+        self.run(model, topology, budget_bytes, cache)
     }
 
     fn run(
@@ -186,7 +172,6 @@ impl ParallelPlanner {
         topology: &ClusterTopology,
         budget_bytes: u64,
         cache: Option<&DpCache>,
-        engine: Option<&IncrementalEngine>,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
         let started = Instant::now();
         let mut search_span = self
@@ -198,7 +183,6 @@ impl ParallelPlanner {
         let estimator =
             CostEstimator::new(topology.clone(), self.config.optimizer.estimator.clone());
         let counters_before = cache.map(|c| c.counters());
-        let engine_before = engine.map(|e| e.counters());
         let output = sweep::run_sweep(
             &self.config.optimizer,
             &estimator,
@@ -207,7 +191,6 @@ impl ParallelPlanner {
             budget_bytes,
             self.effective_jobs(),
             cache,
-            engine,
             self.config.prune,
             &self.obs,
         )?;
@@ -216,13 +199,6 @@ impl ParallelPlanner {
             let delta = cache.counters().since(&before);
             stats.cache_hits = delta.hits;
             stats.cache_misses = delta.misses;
-        }
-        if let (Some(engine), Some(before)) = (engine, engine_before) {
-            let delta = engine.counters().since(&before);
-            stats.intern_hits = delta.intern_hits;
-            stats.intern_misses = delta.intern_misses;
-            stats.ledger_hits = delta.ledger_hits;
-            stats.ledger_misses = delta.ledger_misses;
         }
         stats.search_seconds = started.elapsed().as_secs_f64();
         stats.record_to(self.obs.registry());
@@ -289,9 +265,7 @@ mod tests {
             jobs: 4,
             use_cache: true,
             prune: true,
-            incremental: true,
-            cache_max_entries: None,
-            intern_max_entries: None,
+            ..PlannerConfig::default()
         })
         .optimize(&model, &topo, 8 * GIB)
         .unwrap()
@@ -313,9 +287,7 @@ mod tests {
             jobs: 2,
             use_cache: true,
             prune: false,
-            incremental: true,
-            cache_max_entries: None,
-            intern_max_entries: None,
+            ..PlannerConfig::default()
         })
         .optimize(&model, &topo, 8 * GIB)
         .unwrap()
@@ -337,9 +309,7 @@ mod tests {
             jobs: 2,
             use_cache: true,
             prune: true,
-            incremental: true,
-            cache_max_entries: None,
-            intern_max_entries: None,
+            ..PlannerConfig::default()
         })
         .optimize(&model, &topo, 8 * GIB)
         .unwrap()

@@ -13,7 +13,7 @@
 
 use crate::{DpCache, ParallelPlanner, PlannerConfig};
 use galvatron_cluster::{ClusterError, ClusterTopology};
-use galvatron_core::{IncrementalEngine, OptimizeOutcome};
+use galvatron_core::OptimizeOutcome;
 use galvatron_model::ModelSpec;
 use galvatron_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -44,34 +44,25 @@ pub struct PlanResponse {
 }
 
 /// A planning front-end that serves many requests from one shared
-/// memoization cache and one shared incremental engine (kernel intern
-/// table + monotone-memory feasibility ledger), so both whole-query
-/// answers and individual kernel evaluations stay warm across requests.
+/// memoization cache, so whole-query answers stay warm across requests.
 #[derive(Debug)]
 pub struct PlanService {
     planner: ParallelPlanner,
     cache: DpCache,
-    engine: IncrementalEngine,
     obs: Obs,
 }
 
 impl PlanService {
-    /// Build a service. The long-lived cache and engine honour the
-    /// config's `cache_max_entries` / `intern_max_entries` bounds (both
-    /// unbounded by default).
+    /// Build a service. The long-lived cache honours the config's
+    /// `cache_max_entries` bound (unbounded by default).
     pub fn new(config: PlannerConfig) -> Self {
         let cache = match config.cache_max_entries {
             Some(max) => DpCache::bounded(max),
             None => DpCache::new(),
         };
-        let engine = match config.intern_max_entries {
-            Some(max) => IncrementalEngine::bounded(max),
-            None => IncrementalEngine::new(),
-        };
         PlanService {
             planner: ParallelPlanner::new(config),
             cache,
-            engine,
             obs: Obs::noop(),
         }
     }
@@ -96,12 +87,7 @@ impl PlanService {
         &self.cache
     }
 
-    /// The shared incremental engine (e.g. to inspect reuse counters).
-    pub fn engine(&self) -> &IncrementalEngine {
-        &self.engine
-    }
-
-    /// Answer one request against the shared cache and engine.
+    /// Answer one request against the shared cache.
     pub fn submit(&self, request: &PlanRequest) -> Result<PlanResponse, ClusterError> {
         let started = Instant::now();
         let mut span = self
@@ -114,7 +100,6 @@ impl PlanService {
             &request.topology,
             request.budget_bytes,
             config.use_cache.then_some(&self.cache),
-            config.incremental.then_some(&self.engine),
         )?;
         let seconds = started.elapsed().as_secs_f64();
         let registry = self.obs.registry();
@@ -122,17 +107,11 @@ impl PlanService {
         registry
             .gauge("dp_cache_entries")
             .set(self.cache.len() as f64);
-        registry
-            .gauge("dp_intern_entries")
-            .set(self.engine.table().len() as f64);
-        // Counters only move forward: top each up to the structure's
-        // cumulative eviction count.
+        // Counters only move forward: top up to the cache's cumulative
+        // eviction count.
         let cache_evictions = registry.counter("dp_cache_evictions_total");
         cache_evictions
             .inc_by((self.cache.evictions() as u64).saturating_sub(cache_evictions.get()));
-        let intern_evictions = registry.counter("dp_intern_evictions_total");
-        intern_evictions
-            .inc_by((self.engine.evictions() as u64).saturating_sub(intern_evictions.get()));
         registry
             .wall_histogram("plan_request_seconds")
             .observe(seconds);
@@ -192,9 +171,7 @@ mod tests {
             jobs: 2,
             use_cache: true,
             prune: true,
-            incremental: true,
-            cache_max_entries: None,
-            intern_max_entries: None,
+            ..PlannerConfig::default()
         })
     }
 

@@ -2,23 +2,23 @@
 //!
 //! **Phase A (serial, cheap):** walk Algorithm 1's candidate space in the
 //! exact order of `GalvatronOptimizer::optimize`, deciding each candidate's
-//! DP feasibility with the `O(L·S)` [`dp_feasible`] check (through the
-//! incremental engine's ledger when enabled) instead of the `O(L·S²·E)` DP.
-//! The check runs over exactly the [`stage_queries`] Phase B later solves
-//! and is exact, so no dispatched candidate ever comes back infeasible.
-//! Feasibility is what drives the sweep's early stop (eight consecutive
-//! batches with no feasible candidate), so the planner explores *exactly*
-//! the batches the serial loop explores. Each candidate gets an ordinal
-//! recording its position in the serial visit order.
+//! DP feasibility with the `O(L·S)` [`dp_feasible`] check instead of the
+//! `O(L·S²·E)` DP. The check runs over exactly the [`stage_queries`]
+//! Phase B later solves and is exact, so no dispatched candidate ever
+//! comes back infeasible. Feasibility is what drives the sweep's early
+//! stop (eight consecutive batches with no feasible candidate), so the
+//! planner explores *exactly* the batches the serial loop explores. Each
+//! candidate gets an ordinal recording its position in the serial visit
+//! order.
 //!
 //! **Phase B (parallel):** the feasible candidates go into a work-stealing
 //! queue and a crossbeam-scoped worker pool evaluates them with the shared
 //! single-candidate entry point [`evaluate_candidate`] through one solver
-//! stack — [`ArenaStageDp`] over the engine's interned kernels (or
-//! [`DirectCosts`]), optionally under the memoization cache — behind the
-//! [`throughput_upper_bound`] pruning gate. Workers publish completed
-//! evaluations into per-candidate slots and maintain a shared atomic
-//! best-throughput watermark used *only* for pruning.
+//! stack — [`ArenaStageDp`] over [`DirectCosts`], optionally under the
+//! memoization cache — behind the [`throughput_upper_bound`] pruning gate.
+//! Workers publish completed evaluations into per-candidate slots and
+//! maintain a shared atomic best-throughput watermark used *only* for
+//! pruning.
 //!
 //! **Reduction (serial, deterministic):** the slots are scanned in ordinal
 //! order with the serial loop's strict-improvement comparison, so ties
@@ -29,15 +29,14 @@
 //! skipped: they can never win a strict-improvement scan.
 
 use crate::bound::throughput_upper_bound;
-use crate::cache::{CachedStageDp, DpCache};
+use crate::cache::{context_fingerprint, CachedStageDp, DpCache};
 use crossbeam::deque::{Injector, Steal};
 use galvatron_cluster::{ClusterError, ClusterTopology};
 use galvatron_core::optimizer::batch_candidates;
 use galvatron_core::{
-    context_fingerprint, dp_feasible, evaluate_candidate, micro_batch_candidates, runnable_set,
-    stage_bound_sets, stage_queries, strategy_sets, ArenaStageDp, BoundIncrementalDp,
-    CandidateResult, CandidateSpec, DirectCosts, IncrementalEngine, OptimizerConfig, SearchStats,
-    StageCostProvider, StageDp,
+    dp_feasible, evaluate_candidate, micro_batch_candidates, runnable_set, stage_bound_sets,
+    stage_queries, strategy_sets, ArenaStageDp, CandidateResult, CandidateSpec, DirectCosts,
+    OptimizerConfig, SearchStats, StageDp,
 };
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
@@ -85,18 +84,13 @@ pub(crate) struct SweepOutput {
 /// items in serial visit order.
 type EnumerateOutput = (Vec<(usize, StrategySet)>, Vec<Vec<u64>>, Vec<WorkItem>);
 
-/// Phase A: enumerate the feasible candidates in serial order. With a
-/// bound incremental engine the per-stage feasibility checks go through
-/// its monotone-memory ledger, so neighbouring batches of the sweep (and
-/// earlier searches over the same context) answer most checks without
-/// touching the estimator.
+/// Phase A: enumerate the feasible candidates in serial order.
 fn enumerate(
     config: &OptimizerConfig,
     estimator: &CostEstimator,
     model: &ModelSpec,
     topology: &ClusterTopology,
     budget_bytes: u64,
-    incremental: Option<&BoundIncrementalDp<'_>>,
     stats: &mut SearchStats,
 ) -> EnumerateOutput {
     let n = topology.n_devices();
@@ -138,12 +132,8 @@ fn enumerate(
                         bounds: bounds.clone(),
                         micro_batches,
                     };
-                    let feasible = stage_queries(config, &spec, &set, n, stage_budgets).all(|q| {
-                        match incremental {
-                            Some(bound) => bound.feasible(estimator, model, &q),
-                            None => dp_feasible(estimator, model, &q, &DirectCosts),
-                        }
-                    });
+                    let feasible = stage_queries(config, &spec, &set, n, stage_budgets)
+                        .all(|q| dp_feasible(estimator, model, &q, &DirectCosts));
                     if feasible {
                         any_feasible = true;
                         let upper_bound = throughput_upper_bound(model, topology, &spec);
@@ -174,9 +164,7 @@ fn enumerate(
 
 /// Run the full sweep with `jobs` workers. `cache` of `None` evaluates
 /// every stage DP directly; `prune` of `false` disables the upper-bound
-/// gate; `engine` of `Some` routes kernels through the shared intern table
-/// and feasibility through the monotone ledger. Output is identical for
-/// every combination.
+/// gate. Output is identical for every combination.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sweep(
     config: &OptimizerConfig,
@@ -186,22 +174,13 @@ pub(crate) fn run_sweep(
     budget_bytes: u64,
     jobs: usize,
     cache: Option<&DpCache>,
-    engine: Option<&IncrementalEngine>,
     prune: bool,
     obs: &Obs,
 ) -> Result<SweepOutput, ClusterError> {
     let mut stats = SearchStats::default();
-    let bound = engine.map(|e| e.bind(estimator, model));
     let mut phase_a = obs.span("enumerate_candidates");
-    let (sets, budgets_per_set, items) = enumerate(
-        config,
-        estimator,
-        model,
-        topology,
-        budget_bytes,
-        bound.as_ref(),
-        &mut stats,
-    );
+    let (sets, budgets_per_set, items) =
+        enumerate(config, estimator, model, topology, budget_bytes, &mut stats);
     let n_items = items.len();
     phase_a.add_field("batches", stats.batches_explored);
     phase_a.add_field("feasible_candidates", n_items);
@@ -246,17 +225,12 @@ pub(crate) fn run_sweep(
     let first_error: Mutex<Option<ClusterError>> = Mutex::new(None);
 
     let workers = jobs.max(1).min(n_items.max(1));
-    // Solver stack, innermost out: kernels from the incremental engine's
-    // intern table (when enabled) or straight from the estimator, the
-    // arena solver (bit-identical to the reference DP; see
+    // Solver stack, innermost out: kernels straight from the estimator,
+    // the arena solver (bit-identical to the reference DP; see
     // `galvatron_core::arena`), then the whole-query memoization cache
     // (when enabled). Workers share every layer; the arena solver's
     // counters survive the worker scope.
-    let kernels: &(dyn StageCostProvider + Sync) = match &bound {
-        Some(b) => b,
-        None => &DirectCosts,
-    };
-    let arena_dp = ArenaStageDp::new(kernels);
+    let arena_dp = ArenaStageDp::new(&DirectCosts);
     crossbeam::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| {

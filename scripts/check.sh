@@ -69,7 +69,7 @@ cargo test "${CARGO_FLAGS[@]}" -q
 echo "==> core/planner/sim unit tests (tier-1 above runs only the root package)"
 cargo test "${CARGO_FLAGS[@]}" -p galvatron-core -p galvatron-planner -p galvatron-sim -q
 
-echo "==> oracle conformance: brute force vs every DP path (reference/arena/interned/cached)"
+echo "==> oracle conformance: brute force vs every DP path (reference/arena/cached)"
 cargo test "${CARGO_FLAGS[@]}" --test dp_oracle -q
 
 echo "==> tier-2 (release): oracle wall + differential fuzz + golden snapshots"

@@ -231,9 +231,7 @@ fn planner_for(opts: &Options) -> ParallelPlanner {
         jobs: opts.jobs,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     })
 }
 

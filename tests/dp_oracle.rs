@@ -1,11 +1,11 @@
 //! The exhaustive-oracle conformance suite.
 //!
 //! Eq. 1's solver is the planner's foundation: every plan the optimizer,
-//! the parallel planner, the memoization cache and the incremental engine
-//! emit is built from its per-stage answers. This suite checks the solver
-//! against an oracle that cannot be wrong: brute-force enumeration of every
-//! per-layer strategy assignment on tiny instances (≤12 devices, ≤6
-//! layers), with the *same* quantized memory accounting the DP uses. Each
+//! the parallel planner and the memoization cache emit is built from its
+//! per-stage answers. This suite checks the solver against an oracle that
+//! cannot be wrong: brute-force enumeration of every per-layer strategy
+//! assignment on tiny instances (≤12 devices, ≤6 layers), with the *same*
+//! quantized memory accounting the DP uses. Each
 //! seeded random workload asserts that
 //!
 //! * the reference solver (`reference::solve`),
@@ -13,12 +13,9 @@
 //!   dominance prefilter and reachable-memory windows),
 //! * the parallel-worker path (`ArenaStageDp` through per-thread arenas,
 //!   exactly what the work-stealing sweep runs),
-//! * the memoizing path (`CachedStageDp`, cold and warm),
-//! * the incremental path (`ArenaStageDp` over the bound
-//!   `IncrementalEngine`'s interned kernels, cold and replayed from the
-//!   intern table), and
-//! * the composed path (cache over the interned arena solver — the
-//!   planner's production stack)
+//! * the memoizing path (`CachedStageDp`, cold and warm), and
+//! * the composed path (cache over the arena solver — the planner's
+//!   production stack, cold and warm)
 //!
 //! all agree bit-for-bit with each other and match the brute-force optimum,
 //! including on infeasible instances (everyone must say `None`).
@@ -37,12 +34,12 @@ use galvatron_cluster::{
 };
 use galvatron_core::reference::{self, DirectStageDp};
 use galvatron_core::{
-    context_fingerprint, dp_search_arena, ArenaStageDp, DirectCosts, DpArena, DpResult,
-    IncrementalEngine, RecomputeMode, StageDp, StageDpQuery,
+    dp_search_arena, ArenaStageDp, DirectCosts, DpArena, DpResult, RecomputeMode, StageDp,
+    StageDpQuery,
 };
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::{BertConfig, ModelSpec};
-use galvatron_planner::{CachedStageDp, DpCache};
+use galvatron_planner::{context_fingerprint, CachedStageDp, DpCache};
 use galvatron_strategy::{DecisionTreeBuilder, StrategySet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -478,14 +475,17 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
     let mut total = 0usize;
     let mut feasible = 0usize;
     let mut infeasible = 0usize;
-    // One long-lived engine, cache and arena across all instances —
-    // exactly the plan-service situation, and the harshest test of
-    // context keying and scratch reuse: entries interned (or arena rows
-    // written) for one instance must never leak into another.
-    let engine = IncrementalEngine::new();
+    // Long-lived caches and arenas across all instances — exactly the
+    // plan-service situation, and the harshest test of context keying and
+    // scratch reuse: entries memoized (or arena rows written) for one
+    // instance must never leak into another.
     let cache = DpCache::new();
     let mut arena = DpArena::new();
     let arena_dp = ArenaStageDp::new(&DirectCosts);
+    // The production stack gets its own cache, so its cold solves reach
+    // the arena instead of hitting the memoizing leg's entries.
+    let production_cache = DpCache::new();
+    let production_arena = ArenaStageDp::new(&DirectCosts);
 
     for &(_family, offset, count) in &FAMILIES {
         for seed in offset..offset + count {
@@ -521,15 +521,6 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
             let worker = arena_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &worker, "parallel worker", seed);
 
-            // Incremental path: the arena solver over the bound engine's
-            // interned kernels, cold then replayed from the intern table.
-            let bound = engine.bind(&inst.estimator, &inst.model);
-            let interned = ArenaStageDp::new(&bound);
-            let incremental = interned.solve(&inst.estimator, &inst.model, &q).unwrap();
-            let replayed = interned.solve(&inst.estimator, &inst.model, &q).unwrap();
-            assert_same_result(&serial, &incremental, "incremental", seed);
-            assert_same_result(&serial, &replayed, "incremental replay", seed);
-
             // Memoizing path, cold then warm.
             let ctx = cache.intern(&context_fingerprint(&inst.estimator, &inst.model));
             let cached_dp = CachedStageDp::over(&cache, ctx, &DirectStageDp);
@@ -539,10 +530,15 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
             assert_same_result(&serial, &warm, "warm cache", seed);
 
             // The production stack: whole-query memoization over the
-            // interned arena solver.
-            let composed_dp = CachedStageDp::over(&cache, ctx, &interned);
+            // arena solver, cold then warm.
+            let production_ctx =
+                production_cache.intern(&context_fingerprint(&inst.estimator, &inst.model));
+            let composed_dp =
+                CachedStageDp::over(&production_cache, production_ctx, &production_arena);
             let composed = composed_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
-            assert_same_result(&serial, &composed, "cache∘incremental", seed);
+            let composed_warm = composed_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
+            assert_same_result(&serial, &composed, "cache∘arena", seed);
+            assert_same_result(&serial, &composed_warm, "warm cache∘arena", seed);
 
             // The explicit solver, for completeness of the trait plumbing.
             let direct = DirectStageDp
@@ -584,10 +580,10 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
         total,
         "parallel worker path must run every instance"
     );
-    let counters = engine.counters();
-    assert!(
-        counters.intern_hits > 0,
-        "replays must hit the table: {counters:?}"
+    assert_eq!(
+        production_arena.solves(),
+        total,
+        "the production stack must solve each instance once and replay it"
     );
 }
 

@@ -34,9 +34,7 @@ fn quick_planner(max_batch: usize) -> PlannerConfig {
         jobs: 2,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     }
 }
 

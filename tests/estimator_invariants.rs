@@ -1,15 +1,15 @@
-//! Property tests for the estimator invariants the incremental engine's
-//! feasibility ledger relies on.
+//! Property tests for the estimator invariants the planner's search leans
+//! on.
 //!
-//! The monotone-memory ledger answers a stage query at activation stash
-//! `b'` as infeasible whenever a smaller stash `b ≤ b'` was already
-//! infeasible. That is only sound if modeled memory is monotone in the
-//! batch (the paper's Algorithm 1 lines 14–18 lean on the same fact to stop
-//! the sweep), and only complete if `dp_feasible` — the O(L·S) screen the
-//! parallel planner and the ledger both use — answers exactly
-//! `reference::solve(..).is_some()`.
-//! This suite pins both, plus the layer-count monotonicity that makes
-//! stage-prefix costs well behaved.
+//! Modeled memory must be monotone in the batch: the paper's Algorithm 1
+//! (lines 14–18) stops the sweep on that fact, and a stage that is
+//! infeasible at some batch must stay infeasible at every larger one.
+//! `dp_feasible` — the O(L·S) screen the parallel planner runs on every
+//! candidate stage before dispatching it — must answer exactly
+//! `reference::solve(..).is_some()`, or a dispatched candidate could come
+//! back infeasible (or a feasible one be skipped). This suite pins both,
+//! plus the layer-count monotonicity that makes stage-prefix costs well
+//! behaved.
 
 use galvatron_cluster::{rtx_titan_node, GIB, MIB};
 use galvatron_core::{dp_feasible, reference, DirectCosts, StageDpQuery};
@@ -128,7 +128,7 @@ proptest! {
         }
     }
 
-    /// The ledger's soundness property itself: once a query is
+    /// Batch monotonicity at the stage level: once a query is
     /// memory-infeasible at stash `b`, it stays infeasible at every larger
     /// stash — for both `dp_feasible` and the full solve.
     #[test]

@@ -1,12 +1,12 @@
 //! Golden-plan snapshot tests.
 //!
 //! Every Table-1 zoo model is planned on the 8-GPU PCIe testbed through the
-//! full production stack (parallel planner + memoization cache + incremental
-//! engine) and compared field-for-field against a checked-in snapshot in
+//! full production stack (parallel planner + memoization cache) and
+//! compared field-for-field against a checked-in snapshot in
 //! `tests/golden/`. Throughput and iteration time are compared as exact
 //! `f64` bit patterns, so any drift in the cost model, the DP tie-breaking
-//! or the incremental reuse layers shows up as a failing diff — not as a
-//! silently shifted plan.
+//! or the reuse layers shows up as a failing diff — not as a silently
+//! shifted plan.
 //!
 //! To regenerate after an *intentional* cost-model change:
 //!
@@ -17,7 +17,7 @@
 //! then review the diff like any other code change.
 
 use galvatron::prelude::*;
-use galvatron_core::{IncrementalEngine, OptimizerConfig};
+use galvatron_core::OptimizerConfig;
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use galvatron_strategy::ParallelPlan;
 use serde::{Deserialize, Serialize};
@@ -56,22 +56,11 @@ fn config() -> OptimizerConfig {
     }
 }
 
-fn snapshot(
-    planner: &ParallelPlanner,
-    cache: &DpCache,
-    engine: &IncrementalEngine,
-    model: PaperModel,
-) -> GoldenPlan {
+fn snapshot(planner: &ParallelPlanner, cache: &DpCache, model: PaperModel) -> GoldenPlan {
     let spec = model.spec();
     let topology = TestbedPreset::RtxTitan8.topology();
     let outcome = planner
-        .optimize_with_reuse(
-            &spec,
-            &topology,
-            BUDGET_GIB * GIB,
-            Some(cache),
-            Some(engine),
-        )
+        .optimize_with_reuse(&spec, &topology, BUDGET_GIB * GIB, Some(cache))
         .expect("8-GPU testbed is well formed");
     let (throughput, iteration_time, plan) = match outcome {
         Some(o) => (o.throughput_samples_per_sec, o.iteration_time, Some(o.plan)),
@@ -98,20 +87,17 @@ fn zoo_plans_match_the_golden_snapshots() {
         jobs: 2,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     });
-    // One warm cache and engine across the whole zoo, exactly like a plan
+    // One warm cache across the whole zoo, exactly like a plan
     // service — so the snapshots also pin that cross-model reuse does not
     // leak between contexts.
     let cache = DpCache::new();
-    let engine = IncrementalEngine::new();
     let dir = golden_dir();
     let mut diverged = Vec::new();
 
     for model in PaperModel::ALL {
-        let current = snapshot(&planner, &cache, &engine, model);
+        let current = snapshot(&planner, &cache, model);
         let path = dir.join(format!("{}.json", model.name()));
         if bless {
             let json = serde_json::to_string_pretty(&current).expect("snapshot serializes");

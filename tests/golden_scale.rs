@@ -24,7 +24,7 @@
 
 use galvatron::prelude::*;
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
-use galvatron_core::{IncrementalEngine, OptimizerConfig};
+use galvatron_core::OptimizerConfig;
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use galvatron_strategy::ParallelPlan;
 use serde::{Deserialize, Serialize};
@@ -70,27 +70,18 @@ fn planner(jobs: usize) -> ParallelPlanner {
         jobs,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     })
 }
 
-/// One cold plan of the scale point (fresh cache + engine, like the bench's
+/// One cold plan of the scale point (fresh cache, like the bench's
 /// cold pass). Returns the snapshot and the raw outcome for extra checks.
 fn snapshot(jobs: usize) -> GoldenScale {
     let spec = scale_point_model();
     let topology = TestbedPreset::A100x64.topology();
     let cache = DpCache::new();
-    let engine = IncrementalEngine::new();
     let outcome = planner(jobs)
-        .optimize_with_reuse(
-            &spec,
-            &topology,
-            BUDGET_GIB * GIB,
-            Some(&cache),
-            Some(&engine),
-        )
+        .optimize_with_reuse(&spec, &topology, BUDGET_GIB * GIB, Some(&cache))
         .expect("64-GPU testbed is well formed");
     let outcome = outcome.expect("scale point is feasible at 16 GiB");
     GoldenScale {

@@ -1,10 +1,10 @@
 //! The hetero-path conformance suite: 120 seeded random instances.
 //!
 //! The per-stage-budget generalization threads every search — the serial
-//! reference, the incremental and fully cached parallel sweeps and the
-//! hetero planner's Time objective — through
+//! reference, the production planner, the cached parallel sweep (cold and
+//! warm) and the hetero planner's Time objective — through
 //! [`ClusterTopology::stage_usable_budgets`]. This suite draws seeded
-//! random homogeneous instances and asserts all four paths agree
+//! random homogeneous instances and asserts all five paths agree
 //! **bit-for-bit**: serialized plan bytes equal, throughput and
 //! iteration-time `f64` bit patterns equal, feasibility identical. A second
 //! pass pins the mixed-cluster paths to each other the same way —
@@ -16,7 +16,7 @@
 use galvatron_cluster::{
     mixed_a100_rtx_cluster, rtx_titan_node, rtx_titan_nodes, ClusterTopology, GIB, MIB,
 };
-use galvatron_core::{GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig};
+use galvatron_core::{GalvatronOptimizer, OptimizeOutcome, OptimizerConfig};
 use galvatron_hetero::{HeteroPlanner, Objective};
 use galvatron_model::{BertConfig, ModelSpec};
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
@@ -112,32 +112,12 @@ fn all_paths_agree(instance: &Instance, what: &str) {
         jobs: 4,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     });
-    let engine = IncrementalEngine::new();
-    let incremental = planner
-        .optimize_with_reuse(
-            &instance.model,
-            &instance.topology,
-            instance.budget,
-            None,
-            Some(&engine),
-        )
+    let production = planner
+        .optimize(&instance.model, &instance.topology, instance.budget)
         .expect("valid instance");
-    assert_bit_identical(&serial, &incremental, &format!("{what}: incremental"));
-    // Replay against the warm engine: interned kernels must not drift.
-    let replay = planner
-        .optimize_with_reuse(
-            &instance.model,
-            &instance.topology,
-            instance.budget,
-            None,
-            Some(&engine),
-        )
-        .expect("valid instance");
-    assert_bit_identical(&serial, &replay, &format!("{what}: warm replay"));
+    assert_bit_identical(&serial, &production, &format!("{what}: production planner"));
 
     let cache = DpCache::new();
     let parallel = planner
@@ -146,10 +126,19 @@ fn all_paths_agree(instance: &Instance, what: &str) {
             &instance.topology,
             instance.budget,
             Some(&cache),
-            Some(&engine),
         )
         .expect("valid instance");
     assert_bit_identical(&serial, &parallel, &format!("{what}: parallel sweep"));
+    // Replay against the warm cache: memoized answers must not drift.
+    let replay = planner
+        .optimize_with_reuse(
+            &instance.model,
+            &instance.topology,
+            instance.budget,
+            Some(&cache),
+        )
+        .expect("valid instance");
+    assert_bit_identical(&serial, &replay, &format!("{what}: warm replay"));
 
     let hetero = HeteroPlanner::new(instance.config.clone())
         .plan(
@@ -175,7 +164,7 @@ fn homogeneous_instances_are_bit_identical_across_every_path() {
 }
 
 /// 20 seeded mixed-cluster instances: the per-stage-budget machinery keeps
-/// serial, incremental and parallel paths bit-identical on heterogeneous
+/// serial, production and parallel paths bit-identical on heterogeneous
 /// topologies too.
 #[test]
 fn mixed_instances_are_bit_identical_across_every_path() {

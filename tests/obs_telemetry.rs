@@ -35,9 +35,7 @@ fn quick_planner(max_batch: usize) -> PlannerConfig {
         jobs: 1,
         use_cache: true,
         prune: true,
-        incremental: true,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     }
 }
 

@@ -9,8 +9,7 @@ use galvatron::prelude::*;
 use galvatron_baselines::optimizer_config_for;
 use galvatron_bmw::{BmwPlanner, VARIANTS};
 use galvatron_core::{
-    GalvatronOptimizer, IncrementalEngine, OptimizeOutcome, OptimizerConfig, PipelinePartitioner,
-    RecomputeMode,
+    GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, RecomputeMode,
 };
 use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
 use proptest::prelude::*;
@@ -25,18 +24,12 @@ fn config() -> OptimizerConfig {
 }
 
 fn planner(jobs: usize, use_cache: bool, prune: bool) -> ParallelPlanner {
-    planner_inc(jobs, use_cache, prune, false)
-}
-
-fn planner_inc(jobs: usize, use_cache: bool, prune: bool, incremental: bool) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer: config(),
         jobs,
         use_cache,
         prune,
-        incremental,
-        cache_max_entries: None,
-        intern_max_entries: None,
+        ..PlannerConfig::default()
     })
 }
 
@@ -141,63 +134,28 @@ fn outcome_is_invariant_in_the_worker_count() {
         .unwrap();
     for jobs in [2usize, 4, 8] {
         for (use_cache, prune) in [(false, false), (true, false), (false, true), (true, true)] {
-            for incremental in [false, true] {
-                let candidate = planner_inc(jobs, use_cache, prune, incremental)
-                    .optimize(&model, &topology, 16 * GIB)
-                    .unwrap();
-                assert_same(
-                    &reference,
-                    &candidate,
-                    &format!(
-                        "jobs={jobs} cache={use_cache} prune={prune} incremental={incremental}"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn warm_incremental_engine_reproduces_the_serial_plan() {
-    // The ledger's monotone warm-starts and the intern table's replayed
-    // kernels must not shift any plan, even when the engine is carried
-    // across budgets and models (distinct contexts) in one sweep study.
-    let topology = TestbedPreset::RtxTitan8.topology();
-    let serial = GalvatronOptimizer::new(config());
-    let planner = planner_inc(2, true, true, true);
-    let engine = IncrementalEngine::new();
-    let cache = DpCache::new();
-    for model in [PaperModel::BertHuge32, PaperModel::VitHuge32] {
-        let spec = model.spec();
-        for budget_gb in [8u64, 12, 8] {
-            let budget = budget_gb * GIB;
-            let reference = serial.optimize(&spec, &topology, budget).unwrap();
-            let candidate = planner
-                .optimize_with_reuse(&spec, &topology, budget, Some(&cache), Some(&engine))
+            let candidate = planner(jobs, use_cache, prune)
+                .optimize(&model, &topology, 16 * GIB)
                 .unwrap();
             assert_same(
                 &reference,
                 &candidate,
-                &format!("warm engine, {} @ {budget_gb}G", model.name()),
+                &format!("jobs={jobs} cache={use_cache} prune={prune}"),
             );
         }
     }
-    let counters = engine.counters();
-    assert!(counters.intern_hits > 0, "engine saw reuse: {counters:?}");
-    assert!(counters.ledger_hits > 0, "ledger saw reuse: {counters:?}");
 }
 
 #[test]
 fn dispatched_candidates_never_come_back_infeasible() {
     // Phase A screens every stage of every candidate with the exact
-    // feasibility check (through the ledger) before dispatching it, so
-    // every candidate that issues a DP query must come back as an
-    // evaluated plan: one `candidate_seconds` entry per candidate plan.
-    // This is why the ledger needs no second gate at solve time. Covered
-    // with both recompute modes, the memory-balanced partitioner and a
-    // tiny engine bound whose ledger windows are evicted mid-sweep.
+    // `dp_feasible` check before dispatching it, so every candidate that
+    // issues a DP query must come back as an evaluated plan: one
+    // `candidate_seconds` entry per candidate plan. Without the memo cache
+    // every stage query of every dispatched candidate reaches the arena
+    // solver. Covered with both recompute modes and the memory-balanced
+    // partitioner.
     let topology = TestbedPreset::RtxTitan8.topology();
-    let engine = IncrementalEngine::bounded(64);
     let configs = [
         (RecomputeMode::Off, PipelinePartitioner::ByFlops),
         (RecomputeMode::Auto, PipelinePartitioner::ByFlops),
@@ -215,9 +173,7 @@ fn dispatched_candidates_never_come_back_infeasible() {
             jobs: 2,
             use_cache: false,
             prune: true,
-            incremental: true,
-            cache_max_entries: None,
-            intern_max_entries: Some(64),
+            ..PlannerConfig::default()
         });
         for model in PaperModel::ALL {
             let spec = model.spec();
@@ -227,7 +183,7 @@ fn dispatched_candidates_never_come_back_infeasible() {
                     model.name()
                 );
                 let Some(outcome) = planner
-                    .optimize_with_reuse(&spec, &topology, budget_gb * GIB, None, Some(&engine))
+                    .optimize_with_reuse(&spec, &topology, budget_gb * GIB, None)
                     .unwrap()
                 else {
                     continue;
@@ -238,13 +194,15 @@ fn dispatched_candidates_never_come_back_infeasible() {
                     stats.candidate_plans,
                     "{what}: a dispatched candidate came back infeasible"
                 );
-                assert_eq!(stats.warm_start_prunes, 0, "{what}");
+                assert_eq!(
+                    stats.arena_solves, stats.dp_invocations,
+                    "{what}: every dispatched stage query must reach the arena"
+                );
                 searches += 1;
             }
         }
     }
     assert!(searches > 0, "the grid must plan something");
-    assert!(engine.evictions() > 0, "the engine bound must evict");
 }
 
 #[test]
@@ -259,10 +217,10 @@ fn warm_cache_reproduces_the_cold_plan() {
     let planner = planner(4, true, false);
     let cache = DpCache::new();
     let cold = planner
-        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache), None)
+        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache))
         .unwrap();
     let warm = planner
-        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache), None)
+        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache))
         .unwrap();
     let warm = warm.expect("12 GiB is feasible for ViT-Huge-32");
     assert!(
@@ -307,8 +265,8 @@ proptest! {
         let planner = planner(jobs, true, true);
         let cache = DpCache::new();
         // First pass warms the cache, second pass is served from it.
-        let _ = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache), None).unwrap();
-        let warm = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache), None).unwrap();
+        let _ = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache)).unwrap();
+        let warm = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache)).unwrap();
         assert_same(
             &reference,
             &warm,

@@ -406,8 +406,9 @@ fn planner_panic_is_answered_and_the_worker_survives() {
 }
 
 /// A daemon restarted with a persisted cache answers its first request
-/// from cache — zero computations — but ignores snapshots written under a
-/// different planner configuration.
+/// from cache — zero computations — also when only answer-neutral knobs
+/// (worker count, memo cache, pruning) changed, but ignores snapshots
+/// written under a different optimizer configuration.
 #[test]
 fn persisted_cache_survives_restart_and_gates_on_config() {
     let dir = std::env::temp_dir().join(format!("galvatron-serve-restart-{}", std::process::id()));
@@ -455,7 +456,29 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
     drop(client);
     warm.shutdown();
 
-    // Different planner constants: the snapshot must be ignored, not
+    // Knobs that cannot change an answer: the snapshot still applies.
+    let mut retuned = config.clone();
+    retuned.planner.jobs = 1; // `quick_planner` runs 2
+    retuned.planner.use_cache = false;
+    retuned.planner.prune = false;
+    let retuned = FleetReplica::start(retuned, Obs::noop()).expect("bind");
+    let mut client = PlanClient::connect(retuned.addr()).expect("connect");
+    let reused = client
+        .plan("tiny@8g", model.clone(), topology.clone(), 8 * GIB)
+        .expect("answer");
+    assert!(
+        reused.cached,
+        "jobs/cache/prune changes must keep the persisted cache"
+    );
+    assert_eq!(
+        serde_json::to_string(&reused.result).unwrap(),
+        serde_json::to_string(&first.result).unwrap()
+    );
+    assert_eq!(retuned.stats().computed, 0);
+    drop(client);
+    retuned.shutdown();
+
+    // Different optimizer constants: the snapshot must be ignored, not
     // served stale.
     let mut reconfigured = config;
     reconfigured.planner.optimizer.max_batch = 4;
