@@ -43,7 +43,7 @@
 //! [`COLD_SPEEDUP_FLOOR`], when the scale point drops below
 //! [`SCALE_COLD_SPEEDUP_FLOOR`], or when the warm sweep drops below
 //! [`WARM_SPEEDUP_FLOOR`]. The measurement deliberately does not rely on
-//! multi-core work stealing (`jobs = 1`).
+//! multi-core workers (`jobs = 1`: one scoped worker thread).
 
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
 use galvatron_cluster::{ClusterTopology, TestbedPreset, GIB, MIB};

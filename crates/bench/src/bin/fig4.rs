@@ -6,15 +6,13 @@
 //!     searches (DP+TP, DP+PP) against full Galvatron on 8 GPUs.
 
 use galvatron_bench::render::write_json;
-use galvatron_bench::{
-    jobs_from_args, metrics_out_from_args, resolve_jobs, write_metrics_snapshot,
-};
+use galvatron_bench::{jobs_from_args, metrics_out_from_args, write_metrics_snapshot};
 use galvatron_cluster::{rtx_titan_node, GIB, MIB};
 use galvatron_core::{reference, DirectCosts, OptimizerConfig, StageDpQuery};
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::BertConfig;
 use galvatron_obs::{MetricsRegistry, NullSink, Obs};
-use galvatron_planner::{ParallelPlanner, PlannerConfig};
+use galvatron_planner::{resolve_jobs, ParallelPlanner, PlannerConfig};
 use galvatron_strategy::{DecisionTreeBuilder, Paradigm};
 use serde::Serialize;
 use std::sync::Arc;

@@ -4,12 +4,13 @@
 use galvatron_bench::paper;
 use galvatron_bench::render::{agreement, render_cells, write_json};
 use galvatron_bench::{
-    evaluate_table_observed, jobs_from_args, metrics_out_from_args, resolve_jobs,
-    write_metrics_snapshot, TableSpec,
+    evaluate_table_observed, jobs_from_args, metrics_out_from_args, write_metrics_snapshot,
+    TableSpec,
 };
 use galvatron_cluster::{TestbedPreset, MIB};
 use galvatron_core::OptimizerConfig;
 use galvatron_obs::{MetricsRegistry, NullSink, Obs};
+use galvatron_planner::resolve_jobs;
 use std::sync::Arc;
 
 fn main() {

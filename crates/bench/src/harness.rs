@@ -7,9 +7,10 @@ use galvatron_cluster::{ClusterTopology, GIB};
 use galvatron_core::OptimizerConfig;
 use galvatron_model::{ModelSpec, PaperModel};
 use galvatron_obs::Obs;
-use galvatron_planner::DpCache;
+use galvatron_planner::{resolve_jobs, DpCache};
 use galvatron_sim::{Simulator, SimulatorConfig};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One table cell: a (strategy, model, budget) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -176,44 +177,40 @@ pub fn evaluate_table_observed(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<
             }
         }
     }
-    let n_threads = if jobs > 0 {
-        jobs
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    }
-    .min(cells.len().max(1));
+    let workers = resolve_jobs(jobs).min(cells.len().max(1));
     let cache = DpCache::new();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let out: parking_lot::Mutex<Vec<Option<CellResult>>> =
-        parking_lot::Mutex::new((0..cells.len()).map(|_| None).collect());
-    crossbeam::scope(|s| {
-        for _ in 0..n_threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let (budget, model, strategy) = cells[i];
-                let cell = evaluate_cell_observed(
-                    &spec.topology,
-                    &model.spec(),
-                    budget,
-                    strategy,
-                    &spec.config,
-                    Some(&cache),
-                    obs,
-                );
-                out.lock()[i] = Some(cell);
-            });
+    let next = AtomicUsize::new(0);
+    // One worker: claim the next cell until none are left, and return what
+    // it evaluated keyed by cell index.
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(budget, model, strategy)) = cells.get(i) else {
+                return done;
+            };
+            let cell = evaluate_cell_observed(
+                &spec.topology,
+                &model.spec(),
+                budget,
+                strategy,
+                &spec.config,
+                Some(&cache),
+                obs,
+            );
+            done.push((i, cell));
         }
+    };
+    let mut done: Vec<(usize, CellResult)> = crossbeam::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| worker())).collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("worker threads do not panic"))
+            .collect()
     })
     .expect("worker threads do not panic");
-    out.into_inner()
-        .into_iter()
-        .map(|c| c.expect("all cells evaluated"))
-        .collect()
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, cell)| cell).collect()
 }
 
 #[cfg(test)]

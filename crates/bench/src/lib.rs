@@ -54,16 +54,6 @@ pub fn jobs_from_args() -> usize {
     0
 }
 
-/// The worker count `jobs` resolves to (`0` → all cores).
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs > 0 {
-        return jobs;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Parse `--metrics-out PATH` (or `--metrics-out=PATH`) from the process
 /// arguments: where the binary should write its metrics-registry snapshot
 /// as JSON. `None` when the flag is absent.

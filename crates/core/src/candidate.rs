@@ -6,8 +6,9 @@
 //! [`evaluate_candidate`] evaluates exactly one: filter the strategy set to
 //! the runnable subset, run the Eq. 1 DP per stage, assemble the plan, and
 //! price it. Both `GalvatronOptimizer::optimize` (serially, in sweep order)
-//! and the work-stealing planner (out of order, with memoization and
-//! pruning) call this same function, so the two fronts cannot drift.
+//! and the parallel planner (best-first across its workers, with
+//! memoization and pruning) call this same function, so the two fronts
+//! cannot drift.
 //!
 //! The per-stage DP is routed through the [`StageDp`] trait: the serial
 //! path uses the reference [`DirectStageDp`](crate::reference::DirectStageDp),

@@ -1016,7 +1016,7 @@ impl ReplicaHandle {
     /// Freeze the worker pool. Queued and future jobs wait; admission
     /// (cache hits, coalescing, shedding) keeps running, which is what
     /// deterministic herd and shed tests need. Once this returns, no
-    /// worker dequeues another job until [`resume`](Self::resume).
+    /// worker pops another job until [`resume`](Self::resume).
     pub fn pause(&self) {
         self.shared.queue.set_paused(true);
     }

@@ -7,9 +7,9 @@
 //! Algorithm 1 serially through the reference solver; tests and the
 //! `planner_sweep` bench keep it as the baseline. This crate runs the
 //! *same* search — the same candidate space, the same early-stop rule,
-//! the same tie-breaking — on a work-stealing worker pool over the
-//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp),
-//! with two accelerations layered on top:
+//! the same tie-breaking — on `jobs` scoped worker threads over the
+//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp), with
+//! two accelerations layered on top:
 //!
 //! * a **shared stage-DP memoization cache** ([`DpCache`]): Eq. 1
 //!   sub-problems recur across partitioner guidelines, PP degrees, budget
@@ -52,7 +52,8 @@ pub struct PlannerConfig {
     /// The search configuration (identical semantics to the serial
     /// optimizer's).
     pub optimizer: OptimizerConfig,
-    /// Worker threads; `0` means the machine's available parallelism.
+    /// Scoped worker threads per search; the caller waits on their join.
+    /// `0` means the machine's available parallelism.
     pub jobs: usize,
     /// Share stage-DP solutions through the memoization cache.
     pub use_cache: bool,
@@ -93,9 +94,8 @@ impl Default for PlannerConfig {
     }
 }
 
-/// The work-stealing parallel planner. Produces exactly the plans the
-/// serial [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer) does,
-/// faster.
+/// The parallel planner. Produces exactly the plans the serial
+/// [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer) does, faster.
 #[derive(Debug, Clone)]
 pub struct ParallelPlanner {
     config: PlannerConfig,
@@ -218,7 +218,9 @@ impl ParallelPlanner {
     }
 }
 
-fn resolve_jobs(jobs: usize) -> usize {
+/// The worker count `jobs` resolves to: `jobs` itself, or for `0` the
+/// machine's available parallelism (`1` when it cannot be read).
+pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs > 0 {
         return jobs;
     }

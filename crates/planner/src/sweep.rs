@@ -11,14 +11,15 @@
 //! candidate gets an ordinal recording its position in the serial visit
 //! order.
 //!
-//! **Phase B (parallel):** the feasible candidates go into a work-stealing
-//! queue and a crossbeam-scoped worker pool evaluates them with the shared
-//! single-candidate entry point [`evaluate_candidate`] through one solver
-//! stack — [`ArenaStageDp`] over [`DirectCosts`], optionally under the
-//! memoization cache — behind the [`throughput_upper_bound`] pruning gate.
-//! Workers publish completed evaluations into per-candidate slots and
-//! maintain a shared atomic best-throughput watermark used *only* for
-//! pruning.
+//! **Phase B (parallel):** the feasible candidates are sorted best-first
+//! and `jobs` crossbeam-scoped workers claim them in that order through
+//! one shared atomic index while the caller waits on the join. Every
+//! worker evaluates its candidates with the shared single-candidate entry
+//! point [`evaluate_candidate`] through one solver stack — [`ArenaStageDp`]
+//! over [`DirectCosts`], optionally under the memoization cache — behind
+//! the [`throughput_upper_bound`] pruning gate, returns its evaluations
+//! keyed by slot, and maintains a shared atomic best-throughput watermark
+//! used *only* for pruning. The first failing worker stops the others.
 //!
 //! **Reduction (serial, deterministic):** the slots are scanned in ordinal
 //! order with the serial loop's strict-improvement comparison, so ties
@@ -30,7 +31,6 @@
 
 use crate::bound::throughput_upper_bound;
 use crate::cache::{context_fingerprint, CachedStageDp, DpCache};
-use crossbeam::deque::{Injector, Steal};
 use galvatron_cluster::{ClusterError, ClusterTopology};
 use galvatron_core::optimizer::batch_candidates;
 use galvatron_core::{
@@ -42,8 +42,7 @@ use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
 use galvatron_obs::Obs;
 use galvatron_strategy::{ParallelPlan, StrategySet};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One dispatched unit of work: a feasible candidate plus its position in
@@ -213,16 +212,14 @@ pub(crate) fn run_sweep(
         }
     }
     stats.visit_order_digest = digest;
-    let queue: Injector<WorkItem> = Injector::new();
-    for item in items {
-        queue.push(item);
-    }
-    let slots: Mutex<Vec<Option<EvalRecord>>> = Mutex::new((0..n_items).map(|_| None).collect());
     // Best throughput seen so far, as f64 bits (non-negative floats order
     // like their bit patterns). Used only to gate pruning — the winner is
     // picked by the deterministic reduction below.
     let watermark = AtomicU64::new(0f64.to_bits());
-    let first_error: Mutex<Option<ClusterError>> = Mutex::new(None);
+    // The claim index and the stop flag publish no data (each worker's
+    // records come back through its join), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
 
     let workers = jobs.max(1).min(n_items.max(1));
     // Solver stack, innermost out: kernels straight from the estimator,
@@ -231,82 +228,86 @@ pub(crate) fn run_sweep(
     // (when enabled). Workers share every layer; the arena solver's
     // counters survive the worker scope.
     let arena_dp = ArenaStageDp::new(&DirectCosts);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let cached = context.map(|ctx| CachedStageDp::over(cache.unwrap(), ctx, &arena_dp));
-                let dp: &dyn StageDp = match &cached {
-                    Some(c) => c,
-                    None => &arena_dp,
-                };
-                loop {
-                    let item = match queue.steal() {
-                        Steal::Success(item) => item,
-                        Steal::Empty => break,
-                        Steal::Retry => continue,
-                    };
-                    if first_error.lock().is_some() {
-                        continue; // drain the queue, nothing more to do
-                    }
-                    if prune {
-                        let best = f64::from_bits(watermark.load(Ordering::Relaxed));
-                        if item.upper_bound < best {
-                            continue; // slot stays empty → counted as pruned
-                        }
-                    }
-                    let started = Instant::now();
-                    let outcome = match evaluate_candidate(
-                        estimator,
-                        model,
-                        config,
-                        &sets[item.set_index].1,
-                        &item.spec,
-                        &budgets_per_set[item.set_index],
-                        dp,
-                    ) {
-                        Ok(outcome) => outcome,
-                        Err(error) => {
-                            let mut guard = first_error.lock();
-                            if guard.is_none() {
-                                *guard = Some(error);
-                            }
-                            continue;
-                        }
-                    };
-                    let seconds = started.elapsed().as_secs_f64();
-                    let mut record = EvalRecord {
-                        plan: None,
-                        throughput: 0.0,
-                        iteration_time: 0.0,
-                        seconds,
-                        dp_invocations: outcome.dp_invocations,
-                        dp_cells: outcome.dp_cells,
-                        evaluated: false,
-                    };
-                    if let CandidateResult::Evaluated {
-                        plan,
-                        throughput,
-                        iteration_time,
-                        fits,
-                    } = outcome.result
-                    {
-                        record.evaluated = true;
-                        if fits {
-                            watermark.fetch_max(throughput.to_bits(), Ordering::Relaxed);
-                            record.plan = Some(plan);
-                            record.throughput = throughput;
-                            record.iteration_time = iteration_time;
-                        }
-                    }
-                    slots.lock()[item.slot] = Some(record);
+    // One worker: claim the next item in best-first order until the list
+    // runs out or any worker fails, and return what it evaluated keyed by
+    // slot. A pruned item leaves its slot empty.
+    let worker = || -> Result<Vec<(usize, EvalRecord)>, ClusterError> {
+        let cached = cache
+            .zip(context)
+            .map(|(cache, ctx)| CachedStageDp::over(cache, ctx, &arena_dp));
+        let dp: &dyn StageDp = match &cached {
+            Some(c) => c,
+            None => &arena_dp,
+        };
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            if prune && item.upper_bound < f64::from_bits(watermark.load(Ordering::Relaxed)) {
+                continue;
+            }
+            let started = Instant::now();
+            let outcome = evaluate_candidate(
+                estimator,
+                model,
+                config,
+                &sets[item.set_index].1,
+                &item.spec,
+                &budgets_per_set[item.set_index],
+                dp,
+            )
+            .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
+            let mut record = EvalRecord {
+                plan: None,
+                throughput: 0.0,
+                iteration_time: 0.0,
+                seconds: started.elapsed().as_secs_f64(),
+                dp_invocations: outcome.dp_invocations,
+                dp_cells: outcome.dp_cells,
+                evaluated: false,
+            };
+            if let CandidateResult::Evaluated {
+                plan,
+                throughput,
+                iteration_time,
+                fits,
+            } = outcome.result
+            {
+                record.evaluated = true;
+                if fits {
+                    watermark.fetch_max(throughput.to_bits(), Ordering::Relaxed);
+                    record.plan = Some(plan);
+                    record.throughput = throughput;
+                    record.iteration_time = iteration_time;
                 }
-            });
+            }
+            done.push((item.slot, record));
         }
+        Ok(done)
+    };
+    // Every worker is a scoped thread, `jobs = 1` included. Running a
+    // worker on the caller keeps its caches warm across searches, which is
+    // faster on a quiet machine, but then a search's cost swings with the
+    // load on the host from one run to the next.
+    let per_worker: Vec<_> = crossbeam::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|_| worker())).collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     })
     .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
 
-    if let Some(error) = first_error.into_inner() {
-        return Err(error);
+    let mut slots: Vec<Option<EvalRecord>> = (0..n_items).map(|_| None).collect();
+    for done in per_worker {
+        for (slot, record) in done? {
+            slots[slot] = Some(record);
+        }
     }
     stats.arena_solves = arena_dp.solves();
     stats.dominated_pruned = arena_dp.dominated();
@@ -316,7 +317,7 @@ pub(crate) fn run_sweep(
     // Deterministic reduction: serial order, strict improvement — the same
     // first-wins tie-breaking as the serial loop.
     let mut best: Option<(ParallelPlan, f64, f64)> = None;
-    for record in slots.into_inner().into_iter() {
+    for record in slots {
         let Some(record) = record else {
             stats.pruned_candidates += 1;
             continue;

@@ -87,7 +87,7 @@ impl<T> BoundedQueue<T> {
     /// While [paused](BoundedQueue::set_paused), jobs stay queued (pushes
     /// still admit up to capacity) but no pop returns one — the pause is
     /// taken under the queue mutex, so once `set_paused(true)` returns,
-    /// no consumer can dequeue. Closing overrides pausing so shutdown can
+    /// no consumer can pop a job. Closing overrides pausing so shutdown can
     /// always drain.
     pub fn pop(&self, timeout: Duration) -> Option<T> {
         let mut inner = self.inner.lock().unwrap();
@@ -112,7 +112,7 @@ impl<T> BoundedQueue<T> {
 
     /// Freeze (or release) consumers. Pausing is atomic with respect to
     /// the queue: once this returns with `true`, no job already queued or
-    /// pushed later can be dequeued until release — which is what lets
+    /// pushed later can be popped until release — which is what lets
     /// tests build an exact backlog.
     pub fn set_paused(&self, paused: bool) {
         self.inner.lock().unwrap().paused = paused;
@@ -175,7 +175,7 @@ mod tests {
         q.set_paused(true);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        // Nothing can be dequeued while paused — even jobs pushed after.
+        // Nothing can be popped while paused — even jobs pushed after.
         assert_eq!(q.pop(Duration::from_millis(20)), None);
         assert_eq!(q.len(), 2);
         // A consumer blocked in pop() wakes on release and drains.

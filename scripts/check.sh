@@ -66,8 +66,8 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build "${CARGO_FLAGS[@]}" --release
 cargo test "${CARGO_FLAGS[@]}" -q
 
-echo "==> core/planner/sim unit tests (tier-1 above runs only the root package)"
-cargo test "${CARGO_FLAGS[@]}" -p galvatron-core -p galvatron-planner -p galvatron-sim -q
+echo "==> every crate's library unit tests (tier-1 above runs only the root package)"
+cargo test "${CARGO_FLAGS[@]}" --workspace --lib -q
 
 echo "==> oracle conformance: brute force vs every DP path (reference/arena/cached)"
 cargo test "${CARGO_FLAGS[@]}" --test dp_oracle -q

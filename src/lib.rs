@@ -26,7 +26,7 @@
 //!   multi-GPU execution (the "measured" side of every experiment).
 //! * [`core`] — the dynamic-programming search (Eq. 1) and the Algorithm 1
 //!   optimization workflow.
-//! * [`planner`] — the parallel planning front-end: work-stealing sweep,
+//! * [`planner`] — the parallel planning front-end: scoped-worker sweep,
 //!   shared DP memoization, bound-based pruning, multi-request plan
 //!   service. Same results as [`core`]'s serial optimizer, faster.
 //! * [`baselines`] — the evaluated baseline planners (PyTorch DDP, Megatron

@@ -12,7 +12,7 @@
 //! * the arena path (`dp_search_arena` — the cold hot path, including its
 //!   dominance prefilter and reachable-memory windows),
 //! * the parallel-worker path (`ArenaStageDp` through per-thread arenas,
-//!   exactly what the work-stealing sweep runs),
+//!   exactly what the planner sweep's workers run),
 //! * the memoizing path (`CachedStageDp`, cold and warm), and
 //! * the composed path (cache over the arena solver — the planner's
 //!   production stack, cold and warm)
@@ -516,8 +516,8 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
             assert_same_result(&serial, &arena_result, "arena", seed);
 
             // Parallel-worker path: `ArenaStageDp` through the
-            // thread-local arena, the exact solver the work-stealing
-            // sweep's workers run.
+            // thread-local arena, the exact solver the planner sweep's
+            // workers run.
             let worker = arena_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &worker, "parallel worker", seed);
 

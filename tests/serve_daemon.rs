@@ -394,12 +394,24 @@ fn planner_panic_is_answered_and_the_worker_survives() {
     }
 
     let response = client
-        .plan("ok", bert(2, "tiny"), topology, 8 * GIB)
+        .plan("ok", bert(2, "tiny"), topology.clone(), 8 * GIB)
         .expect("the worker survived the panic");
-    assert!(
-        matches!(response.result, WireResult::Plan(_)),
-        "{:?}",
-        response.result
+    // The panic left no trace in the worker: its answer matches a fresh
+    // service's byte for byte.
+    let fresh = PlanService::new(quick_planner())
+        .submit(&PlanRequest {
+            name: "ok".to_string(),
+            model: bert(2, "tiny"),
+            topology,
+            budget_bytes: 8 * GIB,
+        })
+        .expect("direct planning succeeds")
+        .outcome
+        .expect("feasible question");
+    assert_eq!(
+        serde_json::to_string(&response.result).expect("serializable"),
+        serde_json::to_string(&WireResult::Plan(ServedPlan::from(fresh))).expect("serializable"),
+        "the answer after a panic must match a fresh service's"
     );
     assert_eq!(handle.stats().computed, 2);
     handle.shutdown();
