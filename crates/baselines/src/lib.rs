@@ -33,7 +33,7 @@ use galvatron_core::{OptimizeOutcome, OptimizerConfig, PipelinePartitioner, Sear
 use galvatron_estimator::{optimal_micro_batches, CostEstimator};
 use galvatron_model::ModelSpec;
 use galvatron_obs::Obs;
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::{ParallelPlanner, PlannerConfig};
 use galvatron_strategy::{IntraStageStrategy, Paradigm, ParallelPlan, StagePlan, StrategyAxis};
 use serde::{Deserialize, Serialize};
 
@@ -160,20 +160,6 @@ impl BaselinePlanner {
         model: &ModelSpec,
         budget_bytes: u64,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        self.plan_with_cache(strategy, model, budget_bytes, None)
-    }
-
-    /// [`plan`](Self::plan) with an optional stage-DP memoization cache
-    /// shared across calls, so the automatic rows of a whole table reuse
-    /// each other's Eq. 1 solutions; without one, each search memoizes on
-    /// its own. The fixed-shape rows ignore it.
-    pub fn plan_with_cache(
-        &self,
-        strategy: BaselineStrategy,
-        model: &ModelSpec,
-        budget_bytes: u64,
-        cache: Option<&DpCache>,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
         match strategy {
             BaselineStrategy::PyTorchDdp => {
                 self.sweep_uniform(model, budget_bytes, Paradigm::Data, strategy.label())
@@ -191,23 +177,15 @@ impl BaselinePlanner {
             | BaselineStrategy::GalvatronFull => {
                 let optimizer = optimizer_config_for(strategy, &self.config)
                     .expect("automatic strategies have a search configuration");
-                let planner = ParallelPlanner::new(PlannerConfig {
+                ParallelPlanner::new(PlannerConfig {
                     optimizer,
                     // Table harnesses parallelise across cells, not within
                     // one search.
                     jobs: 1,
                     ..PlannerConfig::default()
                 })
-                .with_obs(self.obs.clone());
-                match cache {
-                    Some(cache) => planner.optimize_with_reuse(
-                        model,
-                        &self.topology,
-                        budget_bytes,
-                        Some(cache),
-                    ),
-                    None => planner.optimize(model, &self.topology, budget_bytes),
-                }
+                .with_obs(self.obs.clone())
+                .optimize(model, &self.topology, budget_bytes)
             }
         }
     }

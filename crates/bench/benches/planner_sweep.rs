@@ -1,15 +1,11 @@
 //! The planner sweep benchmark: Algorithm 1's Table-1 study (the paper's
 //! 8-GPU testbed, every Table-1 model × the 8/12/16/20 GB budget grid)
-//! planned three ways —
+//! planned two ways —
 //!
 //! * `serial` — the serial [`GalvatronOptimizer`], one independent search
 //!   per point (the reference baseline);
 //! * `planner-cold` — the same sweep through the production stack
-//!   (planner + arena DP + shared [`DpCache`] + bound pruning), starting
-//!   from an empty cache;
-//! * `planner-warm` — the same sweep again against the now-warm cache,
-//!   i.e. what a plan service or an elastic re-planner pays for a repeated
-//!   study.
+//!   (planner + arena DP + bound pruning), one fresh search per point.
 //!
 //! A second, single-point scaling study plans the 100-layer BERT stack on
 //! the Table-4 A100×64 testbed (`serial-64gpu-100l` vs
@@ -21,11 +17,9 @@
 //! min-plus pairs the arena folded next to the pairs a dense per-row scan
 //! would have visited (`minplus_pairs` / `minplus_pairs_dense`).
 //!
-//! An ablation lane measures what each reuse layer earns: the cold sweep,
-//! the warm sweep and the scale point are re-run with exactly one planner
-//! knob off — `use_cache` (the stage-DP memo cache) or `prune` (the
-//! throughput-bound gate) — as rows suffixed `/no-cache` and `/no-prune`,
-//! each held to the same bit-identity check.
+//! An ablation lane measures what bound pruning earns: the cold sweep and
+//! the scale point are re-run with `prune` (the throughput-bound gate) off,
+//! as rows suffixed `/no-prune`, each held to the same bit-identity check.
 //!
 //! A second ablation lane prices two of the paper's search knobs on one
 //! point each through the production planner (`jobs = 1`): Takeaway #3
@@ -40,9 +34,8 @@
 //! timings land in `BENCH_planner_sweep.json` at the workspace root. Each
 //! pass is timed as a min-of-N (the robust estimator on a shared host) and
 //! the run *fails* — not warns — when the cold sweep drops below
-//! [`COLD_SPEEDUP_FLOOR`], when the scale point drops below
-//! [`SCALE_COLD_SPEEDUP_FLOOR`], or when the warm sweep drops below
-//! [`WARM_SPEEDUP_FLOOR`]. The measurement deliberately does not rely on
+//! [`COLD_SPEEDUP_FLOOR`] or when the scale point drops below
+//! [`SCALE_COLD_SPEEDUP_FLOOR`]. The measurement deliberately does not rely on
 //! multi-core workers (`jobs = 1`: one scoped worker thread).
 
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
@@ -51,14 +44,12 @@ use galvatron_core::{
     GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, RecomputeMode,
 };
 use galvatron_model::{GptConfig, ModelSpec, PaperModel};
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::{ParallelPlanner, PlannerConfig};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
 
 const BUDGETS_GIB: [u64; 4] = [8, 12, 16, 20];
-/// The warm pass must beat serial by at least this factor.
-const WARM_SPEEDUP_FLOOR: f64 = 1.5;
 /// The cold pass must beat serial by at least this factor. This is the
 /// arena-DP rebuild's acceptance bar: dropping below it fails the bench.
 const COLD_SPEEDUP_FLOOR: f64 = 10.0;
@@ -69,19 +60,14 @@ const SCALE_COLD_SPEEDUP_FLOOR: f64 = 5.0;
 /// estimator under one-sided scheduler noise on a shared host).
 const SERIAL_REPS: usize = 2;
 const COLD_REPS: usize = 3;
-const WARM_REPS: usize = 3;
 const ABLATION_REPS: usize = 3;
 
-/// The production planner (every reuse layer on) and the two ablations,
-/// each with exactly one layer off: `(row suffix, use_cache, prune)`.
-const VARIANTS: [(&str, bool, bool); 3] = [
-    ("", true, true),
-    ("/no-cache", false, true),
-    ("/no-prune", true, false),
-];
+/// The production planner and its ablation with bound pruning off:
+/// `(row suffix, prune)`.
+const VARIANTS: [(&str, bool); 2] = [("", true), ("/no-prune", false)];
 
 fn config() -> OptimizerConfig {
-    // max_batch 32 keeps the smoke sweep quick; the reuse structure is the
+    // max_batch 32 keeps the smoke sweep quick; the search structure is the
     // same at the paper's 512 cap, just with more batch points.
     OptimizerConfig {
         max_batch: 32,
@@ -99,11 +85,10 @@ fn bmw_config() -> OptimizerConfig {
     }
 }
 
-fn planner(optimizer: OptimizerConfig, use_cache: bool, prune: bool) -> ParallelPlanner {
+fn planner(optimizer: OptimizerConfig, prune: bool) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer,
         jobs: 1,
-        use_cache,
         prune,
         ..PlannerConfig::default()
     })
@@ -143,12 +128,11 @@ impl Study {
         (best, baseline)
     }
 
-    /// One timed planner pass against `cache`, checked point by point
-    /// against the serial `baseline`.
+    /// One timed planner pass, checked point by point against the serial
+    /// `baseline`.
     fn pass(
         &self,
         planner: &ParallelPlanner,
-        cache: Option<&DpCache>,
         baseline: &[Option<OptimizeOutcome>],
         what: &str,
     ) -> (f64, Vec<Option<OptimizeOutcome>>) {
@@ -158,7 +142,7 @@ impl Study {
             .iter()
             .map(|(_, spec, budget)| {
                 planner
-                    .optimize_with_reuse(spec, &self.topology, budget * GIB, cache)
+                    .optimize(spec, &self.topology, budget * GIB)
                     .expect("well-formed testbed")
             })
             .collect();
@@ -208,8 +192,6 @@ struct SweepRow {
     reps: usize,
     points: usize,
     feasible_points: usize,
-    cache_hits: usize,
-    cache_misses: usize,
     arena_solves: usize,
     dominated_pruned: usize,
     minplus_pairs: usize,
@@ -218,7 +200,7 @@ struct SweepRow {
 }
 
 impl SweepRow {
-    /// A row whose reuse counters sum the `SearchStats` of one pass's
+    /// A row whose search counters sum the `SearchStats` of one pass's
     /// outcomes (every point of every study is feasible, so no search's
     /// counters are lost with a `None`).
     fn new(
@@ -238,8 +220,6 @@ impl SweepRow {
         };
         for stats in outcomes.iter().flatten().map(|o| &o.stats) {
             row.feasible_points += 1;
-            row.cache_hits += stats.cache_hits;
-            row.cache_misses += stats.cache_misses;
             row.arena_solves += stats.arena_solves;
             row.dominated_pruned += stats.dominated_pruned;
             row.minplus_pairs += stats.minplus_pairs;
@@ -251,7 +231,7 @@ impl SweepRow {
 }
 
 /// One knob setting of the ablation lane: a single point planned through
-/// the production planner with a fresh cache per repetition.
+/// the production planner.
 #[derive(Debug, Serialize)]
 struct AblationRow {
     configuration: String,
@@ -272,7 +252,7 @@ fn ablation_row(
     model: &ModelSpec,
     budget_gib: u64,
 ) -> AblationRow {
-    let planner = planner(config, true, true);
+    let planner = planner(config, true);
     let mut seconds = f64::INFINITY;
     let mut outcome = None;
     for _ in 0..ABLATION_REPS {
@@ -329,7 +309,6 @@ struct SweepReport {
     models: Vec<String>,
     budgets_gib: Vec<u64>,
     max_batch: usize,
-    speedup_floor: f64,
     cold_speedup_floor: f64,
     scale_testbed: String,
     scale_model: String,
@@ -359,55 +338,23 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-/// The cold row of `study` for one planner variant (a fresh cache per
-/// repetition, min-of-N) and, when `warm_name` is set, the warm row
-/// against the last cold repetition's cache.
-fn variant_rows(
+/// The cold row of `study` for one planner variant (min-of-N).
+fn variant_row(
     study: &Study,
     baseline: &[Option<OptimizeOutcome>],
     serial_seconds: f64,
-    (suffix, use_cache, prune): (&str, bool, bool),
-    cold_name: &str,
-    warm_name: Option<&str>,
-    rows: &mut Vec<SweepRow>,
-) {
-    let planner = planner(study.config.clone(), use_cache, prune);
-    let cold_name = format!("{cold_name}{suffix}");
+    (suffix, prune): (&str, bool),
+    name: &str,
+) -> SweepRow {
+    let planner = planner(study.config.clone(), prune);
+    let name = format!("{name}{suffix}");
     let mut cold = (f64::INFINITY, Vec::new());
-    let mut cache = None;
     for _ in 0..COLD_REPS {
-        let fresh = use_cache.then(DpCache::new);
-        let (seconds, outcomes) = study.pass(&planner, fresh.as_ref(), baseline, &cold_name);
+        let (seconds, outcomes) = study.pass(&planner, baseline, &name);
         cold.0 = cold.0.min(seconds);
         cold.1 = outcomes;
-        cache = fresh;
     }
-    rows.push(SweepRow::new(
-        cold_name,
-        cold.0,
-        serial_seconds,
-        COLD_REPS,
-        &cold.1,
-    ));
-    let Some(warm_name) = warm_name else {
-        return;
-    };
-    let warm_name = format!("{warm_name}{suffix}");
-    let mut warm = (f64::INFINITY, Vec::new());
-    for rep in 0..WARM_REPS {
-        let (seconds, outcomes) = study.pass(&planner, cache.as_ref(), baseline, &warm_name);
-        warm.0 = warm.0.min(seconds);
-        if rep == 0 {
-            warm.1 = outcomes;
-        }
-    }
-    rows.push(SweepRow::new(
-        warm_name,
-        warm.0,
-        serial_seconds,
-        WARM_REPS,
-        &warm.1,
-    ));
+    SweepRow::new(name, cold.0, serial_seconds, COLD_REPS, &cold.1)
 }
 
 fn run_table1_sweep() {
@@ -445,8 +392,8 @@ fn run_table1_sweep() {
     let (serial_secs, baseline) = table1.serial();
     let (scale_serial_secs, scale_baseline) = scale.serial();
     let (bmw_serial_secs, bmw_baseline) = bmw.serial();
-    // The serial optimizer reports no reuse counters, so its rows hold
-    // zeros there.
+    // The serial optimizer reports no arena or pruning counters, so its
+    // rows hold zeros there.
     let mut rows = vec![SweepRow::new(
         "serial".to_string(),
         serial_secs,
@@ -455,15 +402,13 @@ fn run_table1_sweep() {
         &baseline,
     )];
     for variant in VARIANTS {
-        variant_rows(
+        rows.push(variant_row(
             &table1,
             &baseline,
             serial_secs,
             variant,
             "planner-cold",
-            Some("planner-warm"),
-            &mut rows,
-        );
+        ));
     }
     rows.push(SweepRow::new(
         "serial-64gpu-100l".to_string(),
@@ -473,15 +418,13 @@ fn run_table1_sweep() {
         &scale_baseline,
     ));
     for variant in VARIANTS {
-        variant_rows(
+        rows.push(variant_row(
             &scale,
             &scale_baseline,
             scale_serial_secs,
             variant,
             "arena-cold-64gpu-100l",
-            None,
-            &mut rows,
-        );
+        ));
     }
 
     rows.push(SweepRow::new(
@@ -491,29 +434,26 @@ fn run_table1_sweep() {
         SERIAL_REPS,
         &bmw_baseline,
     ));
-    variant_rows(
+    rows.push(variant_row(
         &bmw,
         &bmw_baseline,
         bmw_serial_secs,
         VARIANTS[0],
         "bmw-cold",
-        None,
-        &mut rows,
-    );
+    ));
 
     // Table-4 spot check: the 64-GPU A100 path must agree with the serial
     // optimizer through the production stack too (equality only — the
     // timing study is above).
     let serial = GalvatronOptimizer::new(config());
-    let spot = planner(config(), true, true);
-    let cache = DpCache::new();
+    let spot = planner(config(), true);
     for model in galvatron_bench::paper::TABLE4_MODELS {
         let spec = model.spec();
         let reference = serial
             .optimize(&spec, &scale.topology, 16 * GIB)
             .expect("well-formed");
         let candidate = spot
-            .optimize_with_reuse(&spec, &scale.topology, 16 * GIB, Some(&cache))
+            .optimize(&spec, &scale.topology, 16 * GIB)
             .expect("well-formed");
         assert_same(
             &reference,
@@ -532,13 +472,11 @@ fn run_table1_sweep() {
     );
     for row in &rows {
         println!(
-            "  {:<32} {:.3}s  ({:.2}x; cache {}h/{}m, \
-             {} arena solves, {} dominated, {}/{} min-plus pairs, {} pruned)",
+            "  {:<32} {:.3}s  ({:.2}x; {} arena solves, {} dominated, \
+             {}/{} min-plus pairs, {} pruned)",
             row.configuration,
             row.seconds,
             row.speedup_vs_serial,
-            row.cache_hits,
-            row.cache_misses,
             row.arena_solves,
             row.dominated_pruned,
             row.minplus_pairs,
@@ -566,7 +504,6 @@ fn run_table1_sweep() {
             .collect(),
         budgets_gib: BUDGETS_GIB.to_vec(),
         max_batch: config().max_batch,
-        speedup_floor: WARM_SPEEDUP_FLOOR,
         cold_speedup_floor: COLD_SPEEDUP_FLOOR,
         scale_testbed: "a100-64".to_string(),
         scale_model: scale_model.name.clone(),
@@ -605,13 +542,6 @@ fn run_table1_sweep() {
         "64-GPU/{SCALE_POINT_LAYERS}-layer cold point must be \
          ≥{SCALE_COLD_SPEEDUP_FLOOR}× its serial baseline, measured {:.2}×",
         scale.speedup_vs_serial
-    );
-    let warm = row("planner-warm");
-    assert!(
-        warm.speedup_vs_serial >= WARM_SPEEDUP_FLOOR,
-        "warm planner sweep must be ≥{WARM_SPEEDUP_FLOOR}× the serial baseline, \
-         measured {:.2}×",
-        warm.speedup_vs_serial
     );
 }
 

@@ -39,7 +39,6 @@ fn planner_config(jobs: usize) -> PlannerConfig {
             ..OptimizerConfig::default()
         },
         jobs,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
     }

@@ -129,7 +129,6 @@ fn main() {
         let planner = ParallelPlanner::new(PlannerConfig {
             optimizer: cfg,
             jobs,
-            use_cache: true,
             prune: true,
             ..PlannerConfig::default()
         })

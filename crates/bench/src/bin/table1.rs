@@ -65,11 +65,9 @@ fn main() {
 
     let snap = registry.snapshot();
     eprintln!(
-        "table1: planner evaluated {} DP cells, pruned {} candidates, cache {}h/{}m",
+        "table1: planner evaluated {} DP cells, pruned {} candidates",
         snap.counter("planner_dp_cells_evaluated").unwrap_or(0),
         snap.counter("planner_candidates_pruned").unwrap_or(0),
-        snap.counter("dp_cache_hits").unwrap_or(0),
-        snap.counter("dp_cache_misses").unwrap_or(0),
     );
     if let Some(path) = metrics_out {
         write_metrics_snapshot(&path, &registry, false);

@@ -7,7 +7,7 @@ use galvatron_cluster::{ClusterTopology, GIB};
 use galvatron_core::OptimizerConfig;
 use galvatron_model::{ModelSpec, PaperModel};
 use galvatron_obs::Obs;
-use galvatron_planner::{resolve_jobs, DpCache};
+use galvatron_planner::resolve_jobs;
 use galvatron_sim::{Simulator, SimulatorConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,44 +67,19 @@ pub fn evaluate_cell(
     strategy: BaselineStrategy,
     config: &OptimizerConfig,
 ) -> CellResult {
-    evaluate_cell_cached(topology, model, budget_gb, strategy, config, None)
+    evaluate_cell_observed(topology, model, budget_gb, strategy, config, &Obs::noop())
 }
 
-/// [`evaluate_cell`] with an optional shared stage-DP cache: the automatic
-/// (Galvatron) rows reuse Eq. 1 solutions across cells (see
-/// [`BaselinePlanner::plan_with_cache`]); the fixed-shape rows keep the
-/// baseline sweep.
-pub fn evaluate_cell_cached(
-    topology: &ClusterTopology,
-    model: &ModelSpec,
-    budget_gb: u32,
-    strategy: BaselineStrategy,
-    config: &OptimizerConfig,
-    cache: Option<&DpCache>,
-) -> CellResult {
-    evaluate_cell_observed(
-        topology,
-        model,
-        budget_gb,
-        strategy,
-        config,
-        cache,
-        &Obs::noop(),
-    )
-}
-
-/// [`evaluate_cell_cached`] with a telemetry handle: the Galvatron rows'
-/// planner records search counters (`planner_dp_cells_evaluated`,
-/// `dp_cache_hits`, …) and `dp_search` spans into it; the simulator records
-/// its own run metrics.
-#[allow(clippy::too_many_arguments)]
+/// [`evaluate_cell`] with a telemetry handle: the Galvatron rows' planner
+/// records search counters (`planner_dp_cells_evaluated`,
+/// `dp_arena_solves`, …) and `dp_search` spans into it; the simulator
+/// records its own run metrics.
 pub fn evaluate_cell_observed(
     topology: &ClusterTopology,
     model: &ModelSpec,
     budget_gb: u32,
     strategy: BaselineStrategy,
     config: &OptimizerConfig,
-    cache: Option<&DpCache>,
     obs: &Obs,
 ) -> CellResult {
     let budget = budget_gb as u64 * GIB;
@@ -122,7 +97,7 @@ pub fn evaluate_cell_observed(
     loop {
         let planned = BaselinePlanner::new(topology.clone(), cfg.clone())
             .with_obs(obs.clone())
-            .plan_with_cache(strategy, model, budget, cache);
+            .plan(strategy, model, budget);
         let Ok(Some(outcome)) = planned else {
             return result;
         };
@@ -157,16 +132,14 @@ pub fn evaluate_table(spec: &TableSpec) -> Vec<CellResult> {
     evaluate_table_with_jobs(spec, 0)
 }
 
-/// [`evaluate_table`] with an explicit worker count (`0` = all cores). All
-/// cells share one stage-DP memoization cache, so the Galvatron rows of
-/// different budgets and models reuse each other's Eq. 1 solutions.
+/// [`evaluate_table`] with an explicit worker count (`0` = all cores).
 pub fn evaluate_table_with_jobs(spec: &TableSpec, jobs: usize) -> Vec<CellResult> {
     evaluate_table_observed(spec, jobs, &Obs::noop())
 }
 
 /// [`evaluate_table_with_jobs`] with a telemetry handle shared by every
 /// cell's planner and simulator: after the run, the handle's registry holds
-/// the table-wide search totals (DP cells, cache hits/misses, pruned
+/// the table-wide search totals (DP cells, arena solves, pruned
 /// candidates) that the `--metrics-out` flag of the table binaries dumps.
 pub fn evaluate_table_observed(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<CellResult> {
     let mut cells = Vec::new();
@@ -178,7 +151,6 @@ pub fn evaluate_table_observed(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<
         }
     }
     let workers = resolve_jobs(jobs).min(cells.len().max(1));
-    let cache = DpCache::new();
     let next = AtomicUsize::new(0);
     // One worker: claim the next cell until none are left, and return what
     // it evaluated keyed by cell index.
@@ -195,7 +167,6 @@ pub fn evaluate_table_observed(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<
                 budget,
                 strategy,
                 &spec.config,
-                Some(&cache),
                 obs,
             );
             done.push((i, cell));

@@ -21,7 +21,7 @@
 //!
 //! `table1`/`table3`/`table4`/`fig4`/`galvatron-elastic` additionally take
 //! `--metrics-out PATH` to dump the run's telemetry-registry snapshot
-//! (planner DP-cell counts, cache hit rates, prune counts, …) as JSON; the
+//! (planner DP-cell counts, arena solves, prune counts, …) as JSON; the
 //! elastic binary writes the deterministic view, so two runs with the same
 //! seed produce byte-identical files.
 
@@ -32,8 +32,8 @@ pub mod paper;
 pub mod render;
 
 pub use harness::{
-    evaluate_cell, evaluate_cell_cached, evaluate_cell_observed, evaluate_table,
-    evaluate_table_observed, evaluate_table_with_jobs, CellResult, TableSpec,
+    evaluate_cell, evaluate_cell_observed, evaluate_table, evaluate_table_observed,
+    evaluate_table_with_jobs, CellResult, TableSpec,
 };
 pub use render::{render_cells, write_json};
 

@@ -396,7 +396,7 @@ impl ClusterTopology {
     ///
     /// Homogeneous clusters return the legacy
     /// [`usable_budget`](Self::usable_budget) for every stage —
-    /// bit-identical values, so every existing DP cache key and plan is
+    /// bit-identical values, so every existing DP query and plan is
     /// preserved. Heterogeneous clusters cap each stage at its own island's
     /// physical memory: per member, `min(budget, memory) − overhead`, and
     /// the stage gets the minimum over its members (lock-step partners must

@@ -6,13 +6,12 @@
 //! [`evaluate_candidate`] evaluates exactly one: filter the strategy set to
 //! the runnable subset, run the Eq. 1 DP per stage, assemble the plan, and
 //! price it. Both `GalvatronOptimizer::optimize` (serially, in sweep order)
-//! and the parallel planner (best-first across its workers, with
-//! memoization and pruning) call this same function, so the two fronts
-//! cannot drift.
+//! and the parallel planner (best-first across its workers, with bound
+//! pruning) call this same function, so the two fronts cannot drift.
 //!
 //! The per-stage DP is routed through the [`StageDp`] trait: the serial
 //! path uses the reference [`DirectStageDp`](crate::reference::DirectStageDp),
-//! the parallel planner the arena solver under a shared memoization cache.
+//! the parallel planner the arena solver.
 //! [`stage_queries`] is the one place a candidate becomes per-stage Eq. 1
 //! queries — the planner's feasibility screen poses exactly the queries
 //! [`evaluate_candidate`] later solves.
@@ -73,8 +72,7 @@ pub struct CandidateOutcome {
     /// Eq. 1 DP cells submitted across those queries: Σ over attempted
     /// stages of `stage_layers × |runnable set|` — the `(layer, strategy)`
     /// state count of each solve, the unit Figure 4's search-cost argument
-    /// is phrased in. Counted per query issued, so memoization cache hits
-    /// in the parallel planner still count their cells.
+    /// is phrased in.
     pub dp_cells: usize,
 }
 
@@ -236,7 +234,7 @@ pub fn stage_queries<'a>(
 /// `stage_budgets` holds the usable per-device budget of each pipeline
 /// stage (`stage_budgets.len() == spec.pp`), as produced by
 /// [`ClusterTopology::stage_usable_budgets`]: identical entries on
-/// homogeneous clusters (so every DP query, cache key and plan is
+/// homogeneous clusters (so every DP query and plan is
 /// bit-identical to the historical single-budget path), per-island caps on
 /// heterogeneous ones.
 pub fn evaluate_candidate(

@@ -71,15 +71,6 @@ impl RecomputeMode {
         matches!(self, RecomputeMode::Off)
     }
 
-    /// Stable one-byte encoding for cache keys and fingerprints.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            RecomputeMode::Off => 0,
-            RecomputeMode::On => 1,
-            RecomputeMode::Auto => 2,
-        }
-    }
-
     /// Parse a CLI flag value.
     pub fn parse(s: &str) -> Option<RecomputeMode> {
         match s {
@@ -336,12 +327,11 @@ impl<'a> StageDpQuery<'a> {
     }
 }
 
-/// An Eq. 1 solver. Three implementations exist:
+/// An Eq. 1 solver. Two implementations exist:
 /// [`DirectStageDp`](crate::reference::DirectStageDp) (the reference
-/// solver, for the serial baseline and the oracle suites),
-/// [`ArenaStageDp`](crate::arena::ArenaStageDp) (the production solver) and
-/// the planner's memoizing `CachedStageDp` over either. All answer every
-/// query bit-identically.
+/// solver, for the serial baseline and the oracle suites) and
+/// [`ArenaStageDp`](crate::arena::ArenaStageDp) (the production solver).
+/// Both answer every query bit-identically.
 pub trait StageDp {
     /// Answer one Eq. 1 query; `Ok(None)` when no assignment fits the
     /// budget (the paper's `∞`).

@@ -131,10 +131,14 @@ pub struct SearchStats {
     /// (always 0 on the serial path).
     #[serde(default)]
     pub pruned_candidates: usize,
-    /// Stage-DP memoization cache hits (0 without a cache).
+    /// No longer incremented: always 0. The stage-DP memoization cache it
+    /// counted hits on was removed (it hardly ever hit); every stage query
+    /// is an arena solve. Kept so the benchmark and serialized stats still
+    /// compile and parse.
     #[serde(default)]
     pub cache_hits: usize,
-    /// Stage-DP memoization cache misses (0 without a cache).
+    /// No longer incremented: always 0 (memoization cache removed; see
+    /// [`cache_hits`](Self::cache_hits)).
     #[serde(default)]
     pub cache_misses: usize,
     /// No longer incremented: always 0. The kernel intern table it counted
@@ -188,12 +192,6 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Cache hit rate in `[0, 1]`, or `None` when no cache was consulted.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
     /// The slowest single candidate evaluation, seconds.
     pub fn max_candidate_seconds(&self) -> f64 {
         self.candidate_seconds.iter().cloned().fold(0.0, f64::max)
@@ -222,12 +220,6 @@ impl SearchStats {
         registry
             .counter("planner_candidates_pruned")
             .inc_by(self.pruned_candidates as u64);
-        registry
-            .counter("dp_cache_hits")
-            .inc_by(self.cache_hits as u64);
-        registry
-            .counter("dp_cache_misses")
-            .inc_by(self.cache_misses as u64);
         registry
             .counter("dp_arena_solves")
             .inc_by(self.arena_solves as u64);

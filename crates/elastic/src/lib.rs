@@ -6,8 +6,8 @@
 //! simulator while a seeded [`FaultSchedule`] injects device losses,
 //! stragglers and link degradations underneath it, detects the faults the
 //! way a real job would (heartbeats and iteration-time anomalies), derives
-//! the surviving topology, re-plans online through the shared-cache
-//! `PlanService`, charges a Slice-Gather-based state-migration cost, and
+//! the surviving topology, re-plans online through a `PlanService`,
+//! charges a Slice-Gather-based state-migration cost, and
 //! reports a deterministic recovery timeline.
 //!
 //! The pieces, in pipeline order:

@@ -7,7 +7,7 @@
 //! stragglers and throttled links keep the job running but stretch every
 //! step until the anomaly detector fires. Either detection triggers the
 //! same recovery path: derive the surviving topology (island equalization
-//! in `galvatron-cluster`), re-plan through the shared-cache
+//! in `galvatron-cluster`), re-plan through the
 //! [`PlanService`], charge the state migration
 //! ([`crate::migrate::plan_migration`]), swap the plan in and resume.
 //!
@@ -227,10 +227,9 @@ struct ClusterView {
     benched: Vec<DeviceId>,
 }
 
-/// The elastic training runtime. Holds a [`PlanService`] so the initial
-/// plan, every re-plan and every scenario sharing this runtime reuse one
-/// warm stage-DP cache (keyed by topology fingerprint, so degraded
-/// clusters never hit healthy-cluster entries).
+/// The elastic training runtime. Holds the [`PlanService`] that answers the
+/// initial plan and every re-plan; each is a fresh search on the current
+/// (possibly degraded) topology.
 #[derive(Debug)]
 pub struct ElasticRuntime {
     config: ElasticConfig,
@@ -265,7 +264,7 @@ impl ElasticRuntime {
         &self.config
     }
 
-    /// The shared plan service (e.g. to inspect the cache).
+    /// The plan service.
     pub fn service(&self) -> &PlanService {
         &self.service
     }

@@ -4,7 +4,7 @@
 //! ```text
 //! galvatron-served [--addr HOST:PORT] [--workers N] [--queue-capacity Q]
 //!                  [--cache-mib M] [--persist FILE] [--max-batch B]
-//!                  [--jobs J] [--no-cache] [--no-prune]
+//!                  [--jobs J] [--no-prune]
 //! ```
 //!
 //! The daemon prints its bound address on stdout (machine-readable, for
@@ -92,19 +92,19 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ReplicaConfig, Strin
             }
             "--cache-mib" => {
                 let mib: u64 = parse(&value("--cache-mib")?, "--cache-mib")?;
-                config.cache_max_bytes = mib << 20;
+                config.cache_max_bytes = mib
+                    .checked_mul(1 << 20)
+                    .ok_or_else(|| format!("--cache-mib {mib} overflows a byte count"))?;
             }
             "--persist" => config.persist_path = Some(PathBuf::from(value("--persist")?)),
             "--instance" => config.instance = Some(value("--instance")?),
             "--max-batch" => optimizer.max_batch = parse(&value("--max-batch")?, "--max-batch")?,
             "--jobs" => planner.jobs = parse(&value("--jobs")?, "--jobs")?,
-            "--no-cache" => planner.use_cache = false,
             "--no-prune" => planner.prune = false,
             "--help" | "-h" => {
                 return Err("usage: galvatron-served [--addr HOST:PORT] [--workers N] \
                      [--queue-capacity Q] [--cache-mib M] [--persist FILE] \
-                     [--instance NAME] [--max-batch B] [--jobs J] [--no-cache] \
-                     [--no-prune]"
+                     [--instance NAME] [--max-batch B] [--jobs J] [--no-prune]"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),
@@ -118,4 +118,22 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<ReplicaConfig, Strin
 fn parse<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
     raw.parse()
         .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(str::to_string)
+    }
+
+    #[test]
+    fn cache_size_whose_byte_count_overflows_is_rejected() {
+        let largest = u64::MAX >> 20;
+        let config = parse_args(args(&format!("--cache-mib {largest}"))).unwrap();
+        assert_eq!(config.cache_max_bytes, largest << 20);
+        let err = parse_args(args(&format!("--cache-mib {}", largest + 1))).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+    }
 }

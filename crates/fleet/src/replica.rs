@@ -185,8 +185,8 @@ struct Shared {
     instance: String,
     /// The optimizer config's Debug form: gates persisted snapshots. Only
     /// the optimizer config can change an answer; the planner's worker
-    /// count, cache and pruning switches cannot, so restarting with a
-    /// different setting of those keeps a valid snapshot.
+    /// count and pruning switch cannot, so restarting with a different
+    /// setting of those keeps a valid snapshot.
     config_fingerprint: String,
     service: PlanService,
     cache: ResponseCache,

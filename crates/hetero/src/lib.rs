@@ -21,9 +21,9 @@
 //!   cheapest device mix that trains this model in under T hours?"* — a
 //!   deterministic sweep over [`DeviceType`] island mixes.
 //!
-//! Every search runs through the production planner,
-//! [`ParallelPlanner`] (arena DP, memoization cache, bound pruning), whose plans are bit-identical to the serial reference
-//! [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer).
+//! Every search runs through the production planner, [`ParallelPlanner`]
+//! (arena DP, bound pruning), whose plans are bit-identical to the serial
+//! reference [`GalvatronOptimizer`](galvatron_core::GalvatronOptimizer).
 //!
 //! [`ClusterTopology::stage_usable_budgets`]:
 //!     galvatron_cluster::ClusterTopology::stage_usable_budgets
@@ -239,7 +239,7 @@ pub struct HeteroPlanner {
 
 impl HeteroPlanner {
     /// Build a planner over the default parallel front-end (every core,
-    /// memoization and pruning on).
+    /// pruning on).
     pub fn new(config: OptimizerConfig) -> Self {
         HeteroPlanner {
             planner: ParallelPlanner::with_optimizer(config),

@@ -9,7 +9,7 @@
 //!   histograms with deterministic snapshot ordering and two exporters
 //!   (Prometheus text, JSON), so the planner, plan service, elastic runtime
 //!   and bench binaries expose `planner_dp_cells_evaluated`,
-//!   `dp_cache_hits`, `elastic_replans_total`, … uniformly;
+//!   `dp_arena_solves`, `elastic_replans_total`, … uniformly;
 //! * a span/event layer ([`Span`], [`SpanSink`]) with swappable sinks — a
 //!   ring buffer for tests, a stderr pretty-printer for narration, and a
 //!   Chrome-trace sink sharing the [`chrome::ChromeTraceWriter`] with the

@@ -8,34 +8,29 @@
 //! `planner_sweep` bench keep it as the baseline. This crate runs the
 //! *same* search — the same candidate space, the same early-stop rule,
 //! the same tie-breaking — on `jobs` scoped worker threads over the
-//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp), with
-//! two accelerations layered on top:
-//!
-//! * a **shared stage-DP memoization cache** ([`DpCache`]): Eq. 1
-//!   sub-problems recur across partitioner guidelines, PP degrees, budget
-//!   points and service requests, and a cached answer is bit-identical to a
-//!   recompute;
-//! * **bound-based pruning** ([`bound::throughput_upper_bound`]): a
-//!   candidate whose optimistic throughput bound is strictly below the best
-//!   found so far is skipped, which cannot change the winner of the
-//!   strict-improvement reduction.
+//! production solver, [`ArenaStageDp`](galvatron_core::ArenaStageDp). Every
+//! stage query goes straight to that solver; the one search-time shortcut
+//! is **bound-based pruning** ([`bound::throughput_upper_bound`]): a
+//! candidate whose optimistic throughput bound is strictly below the best
+//! found so far is skipped, which cannot change the winner of the
+//! strict-improvement reduction.
 //!
 //! The planner's output is byte-identical to the serial optimizer for every
-//! `jobs` count and for every cache/pruning combination; the
-//! `planner_parallelism` integration suite asserts this across the model
-//! zoo and budget grid, and the `planner_sweep` bench measures the gain
-//! (`BENCH_planner_sweep.json`).
+//! `jobs` count, with pruning on or off; the `planner_parallelism`
+//! integration suite asserts this across the model zoo and budget grid, and
+//! the `planner_sweep` bench measures the gain (`BENCH_planner_sweep.json`).
 //!
-//! [`PlanService`] plans many requests against one shared cache.
+//! [`PlanService`] answers a stream of requests, each one a fresh search.
+//! Only in the serving daemon and fleet does a byte-bounded response cache
+//! answer exact repeats before a planner runs; every other caller (the
+//! elastic runtime, the table harness) pays a full search per repeat.
 
 #![warn(missing_docs)]
 
 pub mod bound;
-pub mod cache;
 pub mod service;
 mod sweep;
 
-pub use cache::{context_fingerprint, CacheCounters, CachedStageDp, DpCache};
 pub use service::{PlanRequest, PlanResponse, PlanService};
 
 use galvatron_cluster::{ClusterError, ClusterTopology};
@@ -55,7 +50,10 @@ pub struct PlannerConfig {
     /// Scoped worker threads per search; the caller waits on their join.
     /// `0` means the machine's available parallelism.
     pub jobs: usize,
-    /// Share stage-DP solutions through the memoization cache.
+    /// Ignored. It switched the stage-DP memoization cache, which was
+    /// removed (it hardly ever hit; plans never depended on it). Kept so the
+    /// benchmark's struct literals and serialized configs still compile and
+    /// parse.
     pub use_cache: bool,
     /// Skip candidates whose throughput upper bound cannot beat the best.
     pub prune: bool,
@@ -65,12 +63,9 @@ pub struct PlannerConfig {
     /// serialized configs still compile and parse.
     #[serde(default)]
     pub incremental: bool,
-    /// Entry bound on the long-lived stage-DP memoization cache a
-    /// [`PlanService`] owns, with LRU-ish eviction beyond it. `None` (the
-    /// default, and what configs serialized before this field existed
-    /// deserialize to) keeps the cache unbounded — the pre-existing
-    /// behaviour, right for one-shot studies but not for a daemon.
-    /// Eviction only forgets memoized work, so plans are unaffected.
+    /// Ignored. It bounded the removed stage-DP memoization cache (see
+    /// [`use_cache`](Self::use_cache)). Kept so the benchmark's struct
+    /// literals and serialized configs still compile and parse.
     #[serde(default)]
     pub cache_max_entries: Option<usize>,
     /// Ignored. It bounded the removed kernel intern table (see
@@ -147,32 +142,6 @@ impl ParallelPlanner {
         topology: &ClusterTopology,
         budget_bytes: u64,
     ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        let cache = self.config.use_cache.then(DpCache::new);
-        self.run(model, topology, budget_bytes, cache.as_ref())
-    }
-
-    /// The fully explicit entry point — the building block of
-    /// [`PlanService`]: run one search against a caller-owned, possibly
-    /// warm stage-DP memoization cache. It outlives the call, so later
-    /// searches over the same context start warm. `None` runs without the
-    /// cache, whatever the config's `use_cache` says.
-    pub fn optimize_with_reuse(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        cache: Option<&DpCache>,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
-        self.run(model, topology, budget_bytes, cache)
-    }
-
-    fn run(
-        &self,
-        model: &ModelSpec,
-        topology: &ClusterTopology,
-        budget_bytes: u64,
-        cache: Option<&DpCache>,
-    ) -> Result<Option<OptimizeOutcome>, ClusterError> {
         let started = Instant::now();
         let mut search_span = self
             .obs
@@ -182,7 +151,6 @@ impl ParallelPlanner {
             .field("jobs", self.effective_jobs());
         let estimator =
             CostEstimator::new(topology.clone(), self.config.optimizer.estimator.clone());
-        let counters_before = cache.map(|c| c.counters());
         let output = sweep::run_sweep(
             &self.config.optimizer,
             &estimator,
@@ -190,16 +158,10 @@ impl ParallelPlanner {
             topology,
             budget_bytes,
             self.effective_jobs(),
-            cache,
             self.config.prune,
             &self.obs,
         )?;
         let mut stats = output.stats;
-        if let (Some(cache), Some(before)) = (cache, counters_before) {
-            let delta = cache.counters().since(&before);
-            stats.cache_hits = delta.hits;
-            stats.cache_misses = delta.misses;
-        }
         stats.search_seconds = started.elapsed().as_secs_f64();
         stats.record_to(self.obs.registry());
         search_span.add_field("dp_invocations", stats.dp_invocations);
@@ -265,7 +227,6 @@ mod tests {
         let parallel = ParallelPlanner::new(PlannerConfig {
             optimizer: fast_optimizer(),
             jobs: 4,
-            use_cache: true,
             prune: true,
             ..PlannerConfig::default()
         })
@@ -281,21 +242,20 @@ mod tests {
     }
 
     #[test]
-    fn cache_counters_are_reported() {
+    fn search_counters_are_reported() {
         let topo = rtx_titan_node(8);
         let model = small_model();
         let out = ParallelPlanner::new(PlannerConfig {
             optimizer: fast_optimizer(),
             jobs: 2,
-            use_cache: true,
             prune: false,
             ..PlannerConfig::default()
         })
         .optimize(&model, &topo, 8 * GIB)
         .unwrap()
         .expect("feasible");
-        assert!(out.stats.cache_misses > 0);
-        assert!(out.stats.cache_hit_rate().is_some());
+        assert_eq!(out.stats.arena_solves, out.stats.dp_invocations);
+        assert_eq!((out.stats.cache_hits, out.stats.cache_misses), (0, 0));
         assert!(!out.stats.candidate_seconds.is_empty());
         assert!(out.stats.dp_seconds > 0.0);
     }
@@ -309,7 +269,6 @@ mod tests {
         let out = ParallelPlanner::new(PlannerConfig {
             optimizer: fast_optimizer(),
             jobs: 2,
-            use_cache: true,
             prune: true,
             ..PlannerConfig::default()
         })

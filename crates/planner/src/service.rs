@@ -2,18 +2,17 @@
 //!
 //! Production planning rarely asks one question: a capacity study sweeps
 //! budgets, a model-selection study sweeps architectures, a bench sweeps
-//! both. [`PlanService`] answers a batch of [`PlanRequest`]s with one
-//! long-lived [`DpCache`], so every stage-DP solution computed for one
-//! request is available to all later ones (requests over the same model and
-//! cluster at different budgets share most of their sub-problems — the
-//! cache key includes the budget only because Eq. 1's table is
-//! budget-bounded). Each response carries the extended
-//! [`SearchStats`](galvatron_core::SearchStats) with per-request cache
-//! hit/miss deltas and per-candidate timings.
+//! both. [`PlanService`] answers a batch of [`PlanRequest`]s, each with a
+//! fresh search, and keeps no state between them: the same request always
+//! does the same work. Each response carries the extended
+//! [`SearchStats`](galvatron_core::SearchStats) with per-candidate timings.
+//! In the serving daemon and fleet a byte-bounded response cache answers
+//! exact repeats before a planner runs; a caller that uses a
+//! [`PlanService`] directly searches again for every repeat.
 
-use crate::{DpCache, ParallelPlanner, PlannerConfig};
+use crate::{ParallelPlanner, PlannerConfig};
 use galvatron_cluster::{ClusterError, ClusterTopology};
-use galvatron_core::OptimizeOutcome;
+use galvatron_core::{DpResult, OptimizeOutcome};
 use galvatron_model::ModelSpec;
 use galvatron_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -43,34 +42,26 @@ pub struct PlanResponse {
     pub seconds: f64,
 }
 
-/// A planning front-end that serves many requests from one shared
-/// memoization cache, so whole-query answers stay warm across requests.
+/// A planning front-end that answers many requests through one planner and
+/// one telemetry handle.
 #[derive(Debug)]
 pub struct PlanService {
     planner: ParallelPlanner,
-    cache: DpCache,
     obs: Obs,
 }
 
 impl PlanService {
-    /// Build a service. The long-lived cache honours the config's
-    /// `cache_max_entries` bound (unbounded by default).
+    /// Build a service.
     pub fn new(config: PlannerConfig) -> Self {
-        let cache = match config.cache_max_entries {
-            Some(max) => DpCache::bounded(max),
-            None => DpCache::new(),
-        };
         PlanService {
             planner: ParallelPlanner::new(config),
-            cache,
             obs: Obs::noop(),
         }
     }
 
     /// Attach a telemetry handle, shared with the underlying planner:
     /// requests emit `plan_request` spans and count into
-    /// `plan_requests_total`; the `dp_cache_entries` gauge tracks the
-    /// shared cache's size.
+    /// `plan_requests_total`.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.planner = self.planner.clone().with_obs(obs.clone());
         self.obs = obs;
@@ -82,36 +73,26 @@ impl PlanService {
         &self.planner
     }
 
-    /// The shared cache (e.g. to inspect size or cumulative counters).
-    pub fn cache(&self) -> &DpCache {
-        &self.cache
+    /// Always empty. The service once held a stage-DP memoization cache;
+    /// it was removed (it hardly ever hit). Kept because the benchmark
+    /// still reads its length.
+    pub fn cache(&self) -> &[DpResult] {
+        &[]
     }
 
-    /// Answer one request against the shared cache.
+    /// Answer one request with a fresh search.
     pub fn submit(&self, request: &PlanRequest) -> Result<PlanResponse, ClusterError> {
         let started = Instant::now();
         let mut span = self
             .obs
             .span("plan_request")
             .field("request", request.name.as_str());
-        let config = self.planner.config();
-        let outcome = self.planner.optimize_with_reuse(
-            &request.model,
-            &request.topology,
-            request.budget_bytes,
-            config.use_cache.then_some(&self.cache),
-        )?;
+        let outcome =
+            self.planner
+                .optimize(&request.model, &request.topology, request.budget_bytes)?;
         let seconds = started.elapsed().as_secs_f64();
         let registry = self.obs.registry();
         registry.counter("plan_requests_total").inc();
-        registry
-            .gauge("dp_cache_entries")
-            .set(self.cache.len() as f64);
-        // Counters only move forward: top up to the cache's cumulative
-        // eviction count.
-        let cache_evictions = registry.counter("dp_cache_evictions_total");
-        cache_evictions
-            .inc_by((self.cache.evictions() as u64).saturating_sub(cache_evictions.get()));
         registry
             .wall_histogram("plan_request_seconds")
             .observe(seconds);
@@ -124,8 +105,7 @@ impl PlanService {
         })
     }
 
-    /// Answer every request in order against the shared cache. Later
-    /// requests reuse all stage-DP work of earlier ones.
+    /// Answer every request in order.
     pub fn submit_all(&self, requests: &[PlanRequest]) -> Result<Vec<PlanResponse>, ClusterError> {
         requests
             .iter()
@@ -169,28 +149,24 @@ mod tests {
                 ..OptimizerConfig::default()
             },
             jobs: 2,
-            use_cache: true,
             prune: true,
             ..PlannerConfig::default()
         })
     }
 
     #[test]
-    fn repeated_requests_hit_the_cache() {
+    fn repeated_requests_get_identical_answers() {
         let service = service();
         let responses = service.submit_all(&requests()).unwrap();
         assert_eq!(responses.len(), 3);
         let first = responses[0].outcome.as_ref().expect("feasible");
         let third = responses[2].outcome.as_ref().expect("feasible");
-        // Identical request → identical plan, now answered mostly from
-        // cache.
         assert_eq!(first.plan, third.plan);
         assert_eq!(
             first.throughput_samples_per_sec,
             third.throughput_samples_per_sec
         );
-        assert!(third.stats.cache_hits > 0);
-        assert!(!service.cache.is_empty());
+        assert!(service.cache().is_empty());
     }
 
     #[test]

@@ -15,28 +15,27 @@
 //! and `jobs` crossbeam-scoped workers claim them in that order through
 //! one shared atomic index while the caller waits on the join. Every
 //! worker evaluates its candidates with the shared single-candidate entry
-//! point [`evaluate_candidate`] through one solver stack — [`ArenaStageDp`]
-//! over [`DirectCosts`], optionally under the memoization cache — behind
-//! the [`throughput_upper_bound`] pruning gate, returns its evaluations
-//! keyed by slot, and maintains a shared atomic best-throughput watermark
-//! used *only* for pruning. The first failing worker stops the others.
+//! point [`evaluate_candidate`] through one solver — [`ArenaStageDp`] over
+//! [`DirectCosts`] — behind the [`throughput_upper_bound`] pruning gate,
+//! returns its evaluations keyed by slot, and maintains a shared atomic
+//! best-throughput watermark used *only* for pruning. The first failing
+//! worker stops the others.
 //!
 //! **Reduction (serial, deterministic):** the slots are scanned in ordinal
 //! order with the serial loop's strict-improvement comparison, so ties
 //! resolve to the earliest candidate exactly as in the serial sweep —
-//! regardless of worker count, scheduling, cache state or pruning. Pruning
+//! regardless of worker count, scheduling or pruning. Pruning
 //! is sound because the watermark never exceeds the final best throughput
 //! and only candidates whose *upper bound* is strictly below it are
 //! skipped: they can never win a strict-improvement scan.
 
 use crate::bound::throughput_upper_bound;
-use crate::cache::{context_fingerprint, CachedStageDp, DpCache};
 use galvatron_cluster::{ClusterError, ClusterTopology};
 use galvatron_core::optimizer::batch_candidates;
 use galvatron_core::{
     dp_feasible, evaluate_candidate, micro_batch_candidates, runnable_set, stage_bound_sets,
     stage_queries, strategy_sets, ArenaStageDp, CandidateResult, CandidateSpec, DirectCosts,
-    OptimizerConfig, SearchStats, StageDp,
+    OptimizerConfig, SearchStats,
 };
 use galvatron_estimator::CostEstimator;
 use galvatron_model::ModelSpec;
@@ -71,8 +70,7 @@ struct EvalRecord {
 }
 
 /// The sweep's result: the winning candidate (if any) and partial stats
-/// (everything except `search_seconds` and the cache counters, which the
-/// caller owns).
+/// (everything except `search_seconds`, which the caller owns).
 pub(crate) struct SweepOutput {
     pub best: Option<(ParallelPlan, f64, f64)>,
     pub stats: SearchStats,
@@ -161,9 +159,8 @@ fn enumerate(
     (sets, budgets_per_set, items)
 }
 
-/// Run the full sweep with `jobs` workers. `cache` of `None` evaluates
-/// every stage DP directly; `prune` of `false` disables the upper-bound
-/// gate. Output is identical for every combination.
+/// Run the full sweep with `jobs` workers. `prune` of `false` disables the
+/// upper-bound gate. Output is identical for every combination.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sweep(
     config: &OptimizerConfig,
@@ -172,7 +169,6 @@ pub(crate) fn run_sweep(
     topology: &ClusterTopology,
     budget_bytes: u64,
     jobs: usize,
-    cache: Option<&DpCache>,
     prune: bool,
     obs: &Obs,
 ) -> Result<SweepOutput, ClusterError> {
@@ -186,7 +182,6 @@ pub(crate) fn run_sweep(
     phase_a.finish();
     let mut phase_b = obs.span("evaluate_candidates");
 
-    let context = cache.map(|c| c.intern(&context_fingerprint(estimator, model)));
     // Best-first dispatch: highest upper bound first (ties keep serial
     // order). The first evaluations are the candidates that *can* win, so
     // the pruning watermark tightens to near its final value almost
@@ -222,23 +217,14 @@ pub(crate) fn run_sweep(
     let failed = AtomicBool::new(false);
 
     let workers = jobs.max(1).min(n_items.max(1));
-    // Solver stack, innermost out: kernels straight from the estimator,
-    // the arena solver (bit-identical to the reference DP; see
-    // `galvatron_core::arena`), then the whole-query memoization cache
-    // (when enabled). Workers share every layer; the arena solver's
-    // counters survive the worker scope.
+    // One solver for every worker: the arena solver over kernels straight
+    // from the estimator (bit-identical to the reference DP; see
+    // `galvatron_core::arena`). Its counters survive the worker scope.
     let arena_dp = ArenaStageDp::new(&DirectCosts);
     // One worker: claim the next item in best-first order until the list
     // runs out or any worker fails, and return what it evaluated keyed by
     // slot. A pruned item leaves its slot empty.
     let worker = || -> Result<Vec<(usize, EvalRecord)>, ClusterError> {
-        let cached = cache
-            .zip(context)
-            .map(|(cache, ctx)| CachedStageDp::over(cache, ctx, &arena_dp));
-        let dp: &dyn StageDp = match &cached {
-            Some(c) => c,
-            None => &arena_dp,
-        };
         let mut done = Vec::new();
         while !failed.load(Ordering::Relaxed) {
             let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) else {
@@ -255,7 +241,7 @@ pub(crate) fn run_sweep(
                 &sets[item.set_index].1,
                 &item.spec,
                 &budgets_per_set[item.set_index],
-                dp,
+                &arena_dp,
             )
             .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
             let mut record = EvalRecord {

@@ -69,7 +69,7 @@ cargo test "${CARGO_FLAGS[@]}" -q
 echo "==> every crate's library unit tests (tier-1 above runs only the root package)"
 cargo test "${CARGO_FLAGS[@]}" --workspace --lib -q
 
-echo "==> oracle conformance: brute force vs every DP path (reference/arena/cached)"
+echo "==> oracle conformance: brute force vs every DP path (reference/arena)"
 cargo test "${CARGO_FLAGS[@]}" --test dp_oracle -q
 
 echo "==> tier-2 (release): oracle wall + differential fuzz + golden snapshots"
@@ -87,8 +87,8 @@ cargo test "${CARGO_FLAGS[@]}" --release -q \
 echo "==> planner_sweep bench (fails on plan divergence or a speedup floor breach)"
 # Writes BENCH_planner_sweep.json at the workspace root; the bench itself
 # panics (non-zero exit) on any plan divergence from serial, a cold-sweep
-# speedup below the 10x floor, a 64-GPU/100-layer cold speedup below the
-# 5x floor, or a warm-sweep speedup below the 1.5x floor.
+# speedup below the 10x floor, or a 64-GPU/100-layer cold speedup below
+# the 5x floor.
 cargo bench "${CARGO_FLAGS[@]}" -p galvatron-bench --bench planner_sweep
 test -s BENCH_planner_sweep.json || { echo "BENCH_planner_sweep.json missing" >&2; exit 1; }
 

@@ -15,7 +15,7 @@
 # Since the BMW extension the fuzzed instance space includes the
 # recompute dimension: every case draws a RecomputeMode (off/on/auto)
 # and the brute-force reference enumerates both per-layer planes, so
-# the reference/arena/cached equivalences are stressed over
+# the reference/arena equivalences are stressed over
 # the enlarged (strategy, recompute) decision space too.
 #
 # Prints exactly ONE summary line on stdout, e.g.

@@ -105,9 +105,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--model" => opts.model = value("--model")?,
             "--cluster" => opts.cluster = value("--cluster")?,
             "--budget-gb" => {
-                opts.budget_gb = value("--budget-gb")?
+                let gb: u64 = value("--budget-gb")?
                     .parse()
-                    .map_err(|_| "--budget-gb expects an integer".to_string())?
+                    .map_err(|_| "--budget-gb expects an integer".to_string())?;
+                // `main` works in bytes: refuse budgets whose byte count
+                // does not fit a u64.
+                gb.checked_mul(GIB)
+                    .ok_or_else(|| format!("--budget-gb {gb} overflows a byte count"))?;
+                opts.budget_gb = gb;
             }
             "--max-batch" => {
                 opts.max_batch = value("--max-batch")?
@@ -229,7 +234,6 @@ fn planner_for(opts: &Options) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer: config,
         jobs: opts.jobs,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
     })
@@ -350,18 +354,12 @@ fn main() -> ExitCode {
         outcome.stats.search_seconds * 1e3,
         planner.effective_jobs()
     );
-    let hit_rate = outcome
-        .stats
-        .cache_hit_rate()
-        .map(|r| format!("{:.0}% cache hits", r * 100.0))
-        .unwrap_or_else(|| "no cache".to_string());
     println!(
-        "           {} candidates evaluated ({:.0} ms DP time, slowest {:.1} ms), {} pruned, {}",
+        "           {} candidates evaluated ({:.0} ms DP time, slowest {:.1} ms), {} pruned",
         outcome.stats.candidate_seconds.len(),
         outcome.stats.dp_seconds * 1e3,
         outcome.stats.max_candidate_seconds() * 1e3,
         outcome.stats.pruned_candidates,
-        hit_rate
     );
     println!("\n{}", outcome.plan.summary());
 
@@ -496,6 +494,19 @@ mod tests {
         assert!(parse_args(&argv("--metrics-out")).is_err());
         assert!(parse_args(&argv("--recompute sometimes")).is_err());
         assert!(parse_args(&argv("--partitioner vibes")).is_err());
+    }
+
+    #[test]
+    fn budget_whose_byte_count_overflows_is_rejected() {
+        let largest = u64::MAX / GIB;
+        assert_eq!(
+            parse_args(&argv(&format!("--budget-gb {largest}")))
+                .unwrap()
+                .budget_gb,
+            largest
+        );
+        let err = parse_args(&argv(&format!("--budget-gb {}", largest + 1))).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`core`] — the dynamic-programming search (Eq. 1) and the Algorithm 1
 //!   optimization workflow.
 //! * [`planner`] — the parallel planning front-end: scoped-worker sweep,
-//!   shared DP memoization, bound-based pruning, multi-request plan
-//!   service. Same results as [`core`]'s serial optimizer, faster.
+//!   bound-based pruning, multi-request plan service. Same results as
+//!   [`core`]'s serial optimizer, faster.
 //! * [`baselines`] — the evaluated baseline planners (PyTorch DDP, Megatron
 //!   TP, GPipe PP, FSDP/ZeRO-3 SDP, DeepSpeed 3D, Galvatron DP+TP / DP+PP).
 //! * [`elastic`] — the elastic training runtime: deterministic fault
@@ -112,7 +112,7 @@ pub mod prelude {
         Span, SpanSink,
     };
     pub use galvatron_planner::{
-        DpCache, ParallelPlanner, PlanRequest, PlanResponse, PlanService, PlannerConfig,
+        ParallelPlanner, PlanRequest, PlanResponse, PlanService, PlannerConfig,
     };
     pub use galvatron_serve::{PlanClient, ServeStats};
     pub use galvatron_sim::{ExecutionReport, Simulator, SimulatorConfig};

@@ -1,21 +1,18 @@
 //! The exhaustive-oracle conformance suite.
 //!
-//! Eq. 1's solver is the planner's foundation: every plan the optimizer,
-//! the parallel planner and the memoization cache emit is built from its
-//! per-stage answers. This suite checks the solver against an oracle that
-//! cannot be wrong: brute-force enumeration of every per-layer strategy
-//! assignment on tiny instances (≤12 devices, ≤6 layers), with the *same*
-//! quantized memory accounting the DP uses. Each
-//! seeded random workload asserts that
+//! Eq. 1's solver is the planner's foundation: every plan the optimizer and
+//! the parallel planner emit is built from its per-stage answers. This
+//! suite checks the solver against an oracle that cannot be wrong:
+//! brute-force enumeration of every per-layer strategy assignment on tiny
+//! instances (≤12 devices, ≤6 layers), with the *same* quantized memory
+//! accounting the DP uses. Each seeded random workload asserts that
 //!
 //! * the reference solver (`reference::solve`),
 //! * the arena path (`dp_search_arena` — the cold hot path, including its
 //!   dominance prefilter and reachable-memory windows),
 //! * the parallel-worker path (`ArenaStageDp` through per-thread arenas,
-//!   exactly what the planner sweep's workers run),
-//! * the memoizing path (`CachedStageDp`, cold and warm), and
-//! * the composed path (cache over the arena solver — the planner's
-//!   production stack, cold and warm)
+//!   exactly what the planner sweep's workers run), and
+//! * the reference solver behind the `StageDp` trait (`DirectStageDp`)
 //!
 //! all agree bit-for-bit with each other and match the brute-force optimum,
 //! including on infeasible instances (everyone must say `None`).
@@ -39,7 +36,6 @@ use galvatron_core::{
 };
 use galvatron_estimator::{CostEstimator, EstimatorConfig};
 use galvatron_model::{BertConfig, ModelSpec};
-use galvatron_planner::{context_fingerprint, CachedStageDp, DpCache};
 use galvatron_strategy::{DecisionTreeBuilder, StrategySet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -475,17 +471,11 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
     let mut total = 0usize;
     let mut feasible = 0usize;
     let mut infeasible = 0usize;
-    // Long-lived caches and arenas across all instances — exactly the
-    // plan-service situation, and the harshest test of context keying and
-    // scratch reuse: entries memoized (or arena rows written) for one
-    // instance must never leak into another.
-    let cache = DpCache::new();
+    // Long-lived arenas across all instances — exactly the plan-service
+    // situation, and the harshest test of scratch reuse: arena rows written
+    // for one instance must never leak into another.
     let mut arena = DpArena::new();
     let arena_dp = ArenaStageDp::new(&DirectCosts);
-    // The production stack gets its own cache, so its cold solves reach
-    // the arena instead of hitting the memoizing leg's entries.
-    let production_cache = DpCache::new();
-    let production_arena = ArenaStageDp::new(&DirectCosts);
 
     for &(_family, offset, count) in &FAMILIES {
         for seed in offset..offset + count {
@@ -520,25 +510,6 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
             // workers run.
             let worker = arena_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
             assert_same_result(&serial, &worker, "parallel worker", seed);
-
-            // Memoizing path, cold then warm.
-            let ctx = cache.intern(&context_fingerprint(&inst.estimator, &inst.model));
-            let cached_dp = CachedStageDp::over(&cache, ctx, &DirectStageDp);
-            let cached = cached_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
-            let warm = cached_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
-            assert_same_result(&serial, &cached, "cached", seed);
-            assert_same_result(&serial, &warm, "warm cache", seed);
-
-            // The production stack: whole-query memoization over the
-            // arena solver, cold then warm.
-            let production_ctx =
-                production_cache.intern(&context_fingerprint(&inst.estimator, &inst.model));
-            let composed_dp =
-                CachedStageDp::over(&production_cache, production_ctx, &production_arena);
-            let composed = composed_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
-            let composed_warm = composed_dp.solve(&inst.estimator, &inst.model, &q).unwrap();
-            assert_same_result(&serial, &composed, "cache∘arena", seed);
-            assert_same_result(&serial, &composed_warm, "warm cache∘arena", seed);
 
             // The explicit solver, for completeness of the trait plumbing.
             let direct = DirectStageDp
@@ -579,11 +550,6 @@ fn every_dp_path_matches_brute_force_on_410_seeded_instances() {
         arena_dp.solves(),
         total,
         "parallel worker path must run every instance"
-    );
-    assert_eq!(
-        production_arena.solves(),
-        total,
-        "the production stack must solve each instance once and replay it"
     );
 }
 

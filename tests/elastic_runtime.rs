@@ -32,7 +32,6 @@ fn quick_planner(max_batch: usize) -> PlannerConfig {
             ..OptimizerConfig::default()
         },
         jobs: 2,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
     }

@@ -1,12 +1,12 @@
 //! Golden-plan snapshot tests.
 //!
 //! Every Table-1 zoo model is planned on the 8-GPU PCIe testbed through the
-//! full production stack (parallel planner + memoization cache) and
+//! full production stack (parallel planner, arena DP, bound pruning) and
 //! compared field-for-field against a checked-in snapshot in
 //! `tests/golden/`. Throughput and iteration time are compared as exact
 //! `f64` bit patterns, so any drift in the cost model, the DP tie-breaking
-//! or the reuse layers shows up as a failing diff — not as a silently
-//! shifted plan.
+//! or the pruning shows up as a failing diff — not as a silently shifted
+//! plan.
 //!
 //! To regenerate after an *intentional* cost-model change:
 //!
@@ -18,7 +18,7 @@
 
 use galvatron::prelude::*;
 use galvatron_core::OptimizerConfig;
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::{ParallelPlanner, PlannerConfig};
 use galvatron_strategy::ParallelPlan;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -56,11 +56,11 @@ fn config() -> OptimizerConfig {
     }
 }
 
-fn snapshot(planner: &ParallelPlanner, cache: &DpCache, model: PaperModel) -> GoldenPlan {
+fn snapshot(planner: &ParallelPlanner, model: PaperModel) -> GoldenPlan {
     let spec = model.spec();
     let topology = TestbedPreset::RtxTitan8.topology();
     let outcome = planner
-        .optimize_with_reuse(&spec, &topology, BUDGET_GIB * GIB, Some(cache))
+        .optimize(&spec, &topology, BUDGET_GIB * GIB)
         .expect("8-GPU testbed is well formed");
     let (throughput, iteration_time, plan) = match outcome {
         Some(o) => (o.throughput_samples_per_sec, o.iteration_time, Some(o.plan)),
@@ -85,19 +85,14 @@ fn zoo_plans_match_the_golden_snapshots() {
     let planner = ParallelPlanner::new(PlannerConfig {
         optimizer: config(),
         jobs: 2,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
     });
-    // One warm cache across the whole zoo, exactly like a plan
-    // service — so the snapshots also pin that cross-model reuse does not
-    // leak between contexts.
-    let cache = DpCache::new();
     let dir = golden_dir();
     let mut diverged = Vec::new();
 
     for model in PaperModel::ALL {
-        let current = snapshot(&planner, &cache, model);
+        let current = snapshot(&planner, model);
         let path = dir.join(format!("{}.json", model.name()));
         if bless {
             let json = serde_json::to_string_pretty(&current).expect("snapshot serializes");

@@ -25,7 +25,7 @@
 use galvatron::prelude::*;
 use galvatron_bench::paper::{scale_point_model, SCALE_POINT_LAYERS};
 use galvatron_core::OptimizerConfig;
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::{ParallelPlanner, PlannerConfig};
 use galvatron_strategy::ParallelPlan;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -57,7 +57,7 @@ fn golden_path() -> PathBuf {
 
 fn config() -> OptimizerConfig {
     // Mirrors the planner_sweep bench's scale point: max_batch 32 keeps the
-    // run quick, the reuse structure is identical at larger caps.
+    // run quick, the search structure is identical at larger caps.
     OptimizerConfig {
         max_batch: 32,
         ..OptimizerConfig::default()
@@ -68,20 +68,18 @@ fn planner(jobs: usize) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer: config(),
         jobs,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
     })
 }
 
-/// One cold plan of the scale point (fresh cache, like the bench's
-/// cold pass). Returns the snapshot and the raw outcome for extra checks.
+/// One cold plan of the scale point, like the bench's cold pass. Returns
+/// the snapshot and the raw outcome for extra checks.
 fn snapshot(jobs: usize) -> GoldenScale {
     let spec = scale_point_model();
     let topology = TestbedPreset::A100x64.topology();
-    let cache = DpCache::new();
     let outcome = planner(jobs)
-        .optimize_with_reuse(&spec, &topology, BUDGET_GIB * GIB, Some(&cache))
+        .optimize(&spec, &topology, BUDGET_GIB * GIB)
         .expect("64-GPU testbed is well formed");
     let outcome = outcome.expect("scale point is feasible at 16 GiB");
     GoldenScale {

@@ -1,10 +1,10 @@
 //! The hetero-path conformance suite: 120 seeded random instances.
 //!
 //! The per-stage-budget generalization threads every search — the serial
-//! reference, the production planner, the cached parallel sweep (cold and
-//! warm) and the hetero planner's Time objective — through
-//! [`ClusterTopology::stage_usable_budgets`]. This suite draws seeded
-//! random homogeneous instances and asserts all five paths agree
+//! reference, the production planner and the hetero planner's Time
+//! objective — through [`ClusterTopology::stage_usable_budgets`]. This
+//! suite draws seeded random homogeneous instances and asserts all three
+//! paths agree
 //! **bit-for-bit**: serialized plan bytes equal, throughput and
 //! iteration-time `f64` bit patterns equal, feasibility identical. A second
 //! pass pins the mixed-cluster paths to each other the same way —
@@ -19,7 +19,7 @@ use galvatron_cluster::{
 use galvatron_core::{GalvatronOptimizer, OptimizeOutcome, OptimizerConfig};
 use galvatron_hetero::{HeteroPlanner, Objective};
 use galvatron_model::{BertConfig, ModelSpec};
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::{ParallelPlanner, PlannerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,38 +107,15 @@ fn all_paths_agree(instance: &Instance, what: &str) {
         .optimize(&instance.model, &instance.topology, instance.budget)
         .expect("valid instance");
 
-    let planner = ParallelPlanner::new(PlannerConfig {
+    let production = ParallelPlanner::new(PlannerConfig {
         optimizer: instance.config.clone(),
         jobs: 4,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
-    });
-    let production = planner
-        .optimize(&instance.model, &instance.topology, instance.budget)
-        .expect("valid instance");
+    })
+    .optimize(&instance.model, &instance.topology, instance.budget)
+    .expect("valid instance");
     assert_bit_identical(&serial, &production, &format!("{what}: production planner"));
-
-    let cache = DpCache::new();
-    let parallel = planner
-        .optimize_with_reuse(
-            &instance.model,
-            &instance.topology,
-            instance.budget,
-            Some(&cache),
-        )
-        .expect("valid instance");
-    assert_bit_identical(&serial, &parallel, &format!("{what}: parallel sweep"));
-    // Replay against the warm cache: memoized answers must not drift.
-    let replay = planner
-        .optimize_with_reuse(
-            &instance.model,
-            &instance.topology,
-            instance.budget,
-            Some(&cache),
-        )
-        .expect("valid instance");
-    assert_bit_identical(&serial, &replay, &format!("{what}: warm replay"));
 
     let hetero = HeteroPlanner::new(instance.config.clone())
         .plan(
@@ -164,7 +141,7 @@ fn homogeneous_instances_are_bit_identical_across_every_path() {
 }
 
 /// 20 seeded mixed-cluster instances: the per-stage-budget machinery keeps
-/// serial, production and parallel paths bit-identical on heterogeneous
+/// the serial, production and hetero paths bit-identical on heterogeneous
 /// topologies too.
 #[test]
 fn mixed_instances_are_bit_identical_across_every_path() {

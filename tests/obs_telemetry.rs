@@ -30,10 +30,9 @@ fn quick_planner(max_batch: usize) -> PlannerConfig {
             max_batch,
             ..OptimizerConfig::default()
         },
-        // Deterministic telemetry: with one worker the prune watermark and
-        // cache hit/miss split cannot race.
+        // Deterministic telemetry: with one worker the prune watermark
+        // cannot race.
         jobs: 1,
-        use_cache: true,
         prune: true,
         ..PlannerConfig::default()
     }
@@ -48,7 +47,7 @@ fn prometheus_export_hand_parses_and_round_trips() {
     registry
         .counter_with("cells_total", &[("model", "bert-8")])
         .inc_by(3);
-    registry.gauge("dp_cache_entries").set(17.5);
+    registry.gauge("serve_queue_depth").set(17.5);
     let h = registry.histogram("phase_seconds");
     h.observe(0.5e-6);
     h.observe(3e-6);
@@ -75,7 +74,7 @@ fn prometheus_export_hand_parses_and_round_trips() {
         Some("counter")
     );
     assert_eq!(
-        types.get("dp_cache_entries").map(String::as_str),
+        types.get("serve_queue_depth").map(String::as_str),
         Some("gauge")
     );
     assert_eq!(
@@ -97,7 +96,7 @@ fn prometheus_export_hand_parses_and_round_trips() {
     );
     assert_eq!(
         samples
-            .get("dp_cache_entries")
+            .get("serve_queue_depth")
             .map(|v| v.parse::<f64>().unwrap()),
         Some(17.5)
     );
@@ -157,10 +156,9 @@ fn planner_metrics_match_stats_and_explainer_matches_estimator() {
         snap.counter("planner_dp_cells_evaluated"),
         Some(stats.dp_cells_evaluated as u64)
     );
-    assert_eq!(snap.counter("dp_cache_hits"), Some(stats.cache_hits as u64));
     assert_eq!(
-        snap.counter("dp_cache_misses"),
-        Some(stats.cache_misses as u64)
+        snap.counter("dp_arena_solves"),
+        Some(stats.arena_solves as u64)
     );
     assert_eq!(
         snap.counter("planner_candidates_pruned"),
@@ -169,14 +167,6 @@ fn planner_metrics_match_stats_and_explainer_matches_estimator() {
     assert_eq!(
         snap.counter("planner_dp_invocations"),
         Some(stats.dp_invocations as u64)
-    );
-    let hits = snap.counter("dp_cache_hits").unwrap();
-    let misses = snap.counter("dp_cache_misses").unwrap();
-    assert!(hits + misses > 0, "the cache was consulted");
-    let rate = hits as f64 / (hits + misses) as f64;
-    assert!(
-        (rate - stats.cache_hit_rate().unwrap()).abs() < 1e-12,
-        "exported hit rate consistent with SearchStats"
     );
 
     // Explain the winning plan and recompute every per-layer total

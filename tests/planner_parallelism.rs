@@ -1,17 +1,18 @@
 //! The parallel planning engine must be an *exact* drop-in for the serial
 //! Algorithm-1 sweep: identical plan, throughput and iteration time for
 //! every zoo model × memory budget on the 8-GPU testbed, regardless of the
-//! worker count, and cache hits must never change the selected plan. Its
-//! feasibility screen must also be exact: no candidate it dispatches may
-//! come back infeasible.
+//! worker count or pruning, and a plan service must do the same work for a
+//! repeated request. Its feasibility screen must also be exact: no
+//! candidate it dispatches may come back infeasible.
 
 use galvatron::prelude::*;
 use galvatron_baselines::optimizer_config_for;
 use galvatron_bmw::{BmwPlanner, VARIANTS};
 use galvatron_core::{
     GalvatronOptimizer, OptimizeOutcome, OptimizerConfig, PipelinePartitioner, RecomputeMode,
+    SearchStats,
 };
-use galvatron_planner::{DpCache, ParallelPlanner, PlannerConfig};
+use galvatron_planner::{ParallelPlanner, PlanRequest, PlanService, PlannerConfig};
 use proptest::prelude::*;
 
 fn config() -> OptimizerConfig {
@@ -23,11 +24,10 @@ fn config() -> OptimizerConfig {
     }
 }
 
-fn planner(jobs: usize, use_cache: bool, prune: bool) -> ParallelPlanner {
+fn planner(jobs: usize, prune: bool) -> ParallelPlanner {
     ParallelPlanner::new(PlannerConfig {
         optimizer: config(),
         jobs,
-        use_cache,
         prune,
         ..PlannerConfig::default()
     })
@@ -65,7 +65,7 @@ fn assert_same(a: &Option<OptimizeOutcome>, b: &Option<OptimizeOutcome>, what: &
 fn parallel_matches_serial_across_the_zoo() {
     let topology = TestbedPreset::RtxTitan8.topology();
     let serial = GalvatronOptimizer::new(config());
-    let parallel = planner(4, true, true);
+    let parallel = planner(4, true);
     for model in PaperModel::ALL {
         let spec = model.spec();
         for budget_gb in [8u64, 12, 16, 20] {
@@ -129,18 +129,18 @@ const MOVED_CALLER_POINTS: [(PaperModel, u64); 6] = [
 fn outcome_is_invariant_in_the_worker_count() {
     let topology = TestbedPreset::RtxTitan8.topology();
     let model = PaperModel::BertHuge32.spec();
-    let reference = planner(1, false, false)
+    let reference = planner(1, false)
         .optimize(&model, &topology, 16 * GIB)
         .unwrap();
-    for jobs in [2usize, 4, 8] {
-        for (use_cache, prune) in [(false, false), (true, false), (false, true), (true, true)] {
-            let candidate = planner(jobs, use_cache, prune)
+    for jobs in [1usize, 2, 4, 8] {
+        for prune in [false, true] {
+            let candidate = planner(jobs, prune)
                 .optimize(&model, &topology, 16 * GIB)
                 .unwrap();
             assert_same(
                 &reference,
                 &candidate,
-                &format!("jobs={jobs} cache={use_cache} prune={prune}"),
+                &format!("jobs={jobs} prune={prune}"),
             );
         }
     }
@@ -151,10 +151,9 @@ fn dispatched_candidates_never_come_back_infeasible() {
     // Phase A screens every stage of every candidate with the exact
     // `dp_feasible` check before dispatching it, so every candidate that
     // issues a DP query must come back as an evaluated plan: one
-    // `candidate_seconds` entry per candidate plan. Without the memo cache
-    // every stage query of every dispatched candidate reaches the arena
-    // solver. Covered with both recompute modes and the memory-balanced
-    // partitioner.
+    // `candidate_seconds` entry per candidate plan, and every stage query
+    // of every dispatched candidate reaches the arena solver. Covered with
+    // both recompute modes and the memory-balanced partitioner.
     let topology = TestbedPreset::RtxTitan8.topology();
     let configs = [
         (RecomputeMode::Off, PipelinePartitioner::ByFlops),
@@ -171,7 +170,6 @@ fn dispatched_candidates_never_come_back_infeasible() {
                 ..OptimizerConfig::default()
             },
             jobs: 2,
-            use_cache: false,
             prune: true,
             ..PlannerConfig::default()
         });
@@ -182,9 +180,7 @@ fn dispatched_candidates_never_come_back_infeasible() {
                     "{} @ {budget_gb}G, {recompute}, {partitioner:?}",
                     model.name()
                 );
-                let Some(outcome) = planner
-                    .optimize_with_reuse(&spec, &topology, budget_gb * GIB, None)
-                    .unwrap()
+                let Some(outcome) = planner.optimize(&spec, &topology, budget_gb * GIB).unwrap()
                 else {
                     continue;
                 };
@@ -206,31 +202,42 @@ fn dispatched_candidates_never_come_back_infeasible() {
 }
 
 #[test]
-fn warm_cache_reproduces_the_cold_plan() {
-    let topology = TestbedPreset::RtxTitan8.topology();
-    let model = PaperModel::VitHuge32.spec();
-    // Pruning off: the bound watermark advances in worker-completion order,
-    // so *which* candidates get pruned is timing-dependent — a warm run may
-    // evaluate (and miss on) a candidate the cold run happened to skip.
-    // The plan is identical either way; the zero-miss assertion below is
-    // only meaningful for an exhaustive sweep.
-    let planner = planner(4, true, false);
-    let cache = DpCache::new();
-    let cold = planner
-        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache))
-        .unwrap();
-    let warm = planner
-        .optimize_with_reuse(&model, &topology, 12 * GIB, Some(&cache))
-        .unwrap();
-    let warm = warm.expect("12 GiB is feasible for ViT-Huge-32");
-    assert!(
-        warm.stats.cache_hits > 0 && warm.stats.cache_misses == 0,
-        "second run must be answered entirely from the cache \
-         ({} hits, {} misses)",
-        warm.stats.cache_hits,
-        warm.stats.cache_misses
+fn plan_service_keeps_no_state_between_requests() {
+    // One worker, so pruning is deterministic and the second answer must
+    // repeat the first one's work counter for counter: nothing the first
+    // request computed is reused.
+    let service = PlanService::new(PlannerConfig {
+        optimizer: config(),
+        jobs: 1,
+        ..PlannerConfig::default()
+    });
+    let request = PlanRequest {
+        name: "vit-huge-32@12g".to_string(),
+        model: PaperModel::VitHuge32.spec(),
+        topology: TestbedPreset::RtxTitan8.topology(),
+        budget_bytes: 12 * GIB,
+    };
+    let first = service.submit(&request).unwrap().outcome;
+    let second = service.submit(&request).unwrap().outcome;
+    assert_same(&first, &second, "first vs second request");
+    let (first, second) = (
+        &first.expect("12 GiB is feasible for ViT-Huge-32").stats,
+        &second.expect("12 GiB is feasible for ViT-Huge-32").stats,
     );
-    assert_same(&cold, &Some(warm), "cold vs warm cache");
+    let work = |s: &SearchStats| {
+        (
+            s.arena_solves,
+            s.dp_invocations,
+            s.pruned_candidates,
+            s.visit_order_digest,
+        )
+    };
+    assert!(first.arena_solves > 0);
+    assert_eq!(
+        work(first),
+        work(second),
+        "(arena solves, DP invocations, pruned, visit order)"
+    );
 }
 
 proptest! {
@@ -238,11 +245,10 @@ proptest! {
         cases: 12, ..ProptestConfig::default()
     })]
 
-    /// Cache hits never change the selected plan: any (model, budget, jobs)
-    /// combination planned against a pre-warmed shared cache selects exactly
-    /// the plan the serial optimizer selects.
+    /// Any (model, budget, jobs) combination selects exactly the plan the
+    /// serial optimizer selects.
     #[test]
-    fn cache_hits_never_change_the_plan(
+    fn random_worker_counts_select_the_serial_plan(
         model_idx in 0usize..4,
         budget_gb in prop_oneof![Just(8u64), Just(12), Just(16), Just(20)],
         jobs in 1usize..=8,
@@ -261,16 +267,7 @@ proptest! {
         let reference = GalvatronOptimizer::new(config())
             .optimize(&model, &topology, budget)
             .unwrap();
-
-        let planner = planner(jobs, true, true);
-        let cache = DpCache::new();
-        // First pass warms the cache, second pass is served from it.
-        let _ = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache)).unwrap();
-        let warm = planner.optimize_with_reuse(&model, &topology, budget, Some(&cache)).unwrap();
-        assert_same(
-            &reference,
-            &warm,
-            &format!("warm cache, jobs={jobs}, {budget_gb}G"),
-        );
+        let candidate = planner(jobs, true).optimize(&model, &topology, budget).unwrap();
+        assert_same(&reference, &candidate, &format!("jobs={jobs}, {budget_gb}G"));
     }
 }

@@ -419,7 +419,7 @@ fn planner_panic_is_answered_and_the_worker_survives() {
 
 /// A daemon restarted with a persisted cache answers its first request
 /// from cache — zero computations — also when only answer-neutral knobs
-/// (worker count, memo cache, pruning) changed, but ignores snapshots
+/// (worker count, pruning) changed, but ignores snapshots
 /// written under a different optimizer configuration.
 #[test]
 fn persisted_cache_survives_restart_and_gates_on_config() {
@@ -471,7 +471,6 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
     // Knobs that cannot change an answer: the snapshot still applies.
     let mut retuned = config.clone();
     retuned.planner.jobs = 1; // `quick_planner` runs 2
-    retuned.planner.use_cache = false;
     retuned.planner.prune = false;
     let retuned = FleetReplica::start(retuned, Obs::noop()).expect("bind");
     let mut client = PlanClient::connect(retuned.addr()).expect("connect");
@@ -480,7 +479,7 @@ fn persisted_cache_survives_restart_and_gates_on_config() {
         .expect("answer");
     assert!(
         reused.cached,
-        "jobs/cache/prune changes must keep the persisted cache"
+        "jobs/prune changes must keep the persisted cache"
     );
     assert_eq!(
         serde_json::to_string(&reused.result).unwrap(),
