@@ -297,7 +297,8 @@ impl BaselinePlanner {
             // "manually tune[s] the number of micro-batches", §5.1).
             let mut stage_costs = Vec::with_capacity(stages.len());
             for stage in &stages {
-                stage_costs.push(estimator.stage_cost(model, stage, batch as u64, 1)?.time);
+                let b = batch as u64;
+                stage_costs.push(estimator.stage_cost(model, stage, b, 1, b)?.time);
             }
             let (micro_batches, _) = optimal_micro_batches(
                 &stage_costs,
@@ -394,7 +395,8 @@ impl BaselinePlanner {
                 .collect();
             let mut stage_costs = Vec::with_capacity(stages.len());
             for stage in &stages {
-                stage_costs.push(estimator.stage_cost(model, stage, batch as u64, 1)?.time);
+                let b = batch as u64;
+                stage_costs.push(estimator.stage_cost(model, stage, b, 1, b)?.time);
             }
             let (micro_batches, _) = optimal_micro_batches(
                 &stage_costs,

@@ -8,8 +8,7 @@
 use galvatron_bench::paper;
 use galvatron_bench::render::{agreement, render_cells, write_json};
 use galvatron_bench::{
-    evaluate_table_observed, jobs_from_args, metrics_out_from_args, write_metrics_snapshot,
-    TableSpec,
+    evaluate_table, jobs_from_args, metrics_out_from_args, write_metrics_snapshot, TableSpec,
 };
 use galvatron_cluster::TestbedPreset;
 use galvatron_core::OptimizerConfig;
@@ -40,7 +39,7 @@ fn main() {
         resolve_jobs(jobs)
     );
     let started = std::time::Instant::now();
-    let cells = evaluate_table_observed(&spec, jobs, &obs);
+    let cells = evaluate_table(&spec, jobs, &obs);
     eprintln!("table1: done in {:.1}s", started.elapsed().as_secs_f64());
 
     println!("{}", render_cells(&cells, &models, &budgets));

@@ -4,8 +4,7 @@
 use galvatron_bench::paper;
 use galvatron_bench::render::{agreement, render_cells, write_json};
 use galvatron_bench::{
-    evaluate_table_observed, jobs_from_args, metrics_out_from_args, write_metrics_snapshot,
-    TableSpec,
+    evaluate_table, jobs_from_args, metrics_out_from_args, write_metrics_snapshot, TableSpec,
 };
 use galvatron_cluster::TestbedPreset;
 use galvatron_core::OptimizerConfig;
@@ -32,7 +31,7 @@ fn main() {
     };
     let started = std::time::Instant::now();
     eprintln!("table3: running on {} threads...", resolve_jobs(jobs));
-    let cells = evaluate_table_observed(&spec, jobs, &obs);
+    let cells = evaluate_table(&spec, jobs, &obs);
     eprintln!("table3: done in {:.1}s", started.elapsed().as_secs_f64());
 
     println!("{}", render_cells(&cells, &models, &budgets));

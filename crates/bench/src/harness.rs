@@ -60,21 +60,11 @@ pub struct TableSpec {
 /// then execute the plan on the simulator. If the simulated peak exceeds
 /// the budget (estimator vs. simulator accounting can differ at the
 /// margin), the batch is stepped down until it fits.
+///
+/// The Galvatron rows' planner records search counters
+/// (`planner_dp_cells_evaluated`, `dp_arena_solves`, …) and `dp_search`
+/// spans into `obs`; the simulator records its own run metrics.
 pub fn evaluate_cell(
-    topology: &ClusterTopology,
-    model: &ModelSpec,
-    budget_gb: u32,
-    strategy: BaselineStrategy,
-    config: &OptimizerConfig,
-) -> CellResult {
-    evaluate_cell_observed(topology, model, budget_gb, strategy, config, &Obs::noop())
-}
-
-/// [`evaluate_cell`] with a telemetry handle: the Galvatron rows' planner
-/// records search counters (`planner_dp_cells_evaluated`,
-/// `dp_arena_solves`, …) and `dp_search` spans into it; the simulator
-/// records its own run metrics.
-pub fn evaluate_cell_observed(
     topology: &ClusterTopology,
     model: &ModelSpec,
     budget_gb: u32,
@@ -126,22 +116,12 @@ pub fn evaluate_cell_observed(
     }
 }
 
-/// Evaluate a whole table, parallelising across cells with the machine's
-/// available parallelism.
-pub fn evaluate_table(spec: &TableSpec) -> Vec<CellResult> {
-    evaluate_table_with_jobs(spec, 0)
-}
-
-/// [`evaluate_table`] with an explicit worker count (`0` = all cores).
-pub fn evaluate_table_with_jobs(spec: &TableSpec, jobs: usize) -> Vec<CellResult> {
-    evaluate_table_observed(spec, jobs, &Obs::noop())
-}
-
-/// [`evaluate_table_with_jobs`] with a telemetry handle shared by every
-/// cell's planner and simulator: after the run, the handle's registry holds
-/// the table-wide search totals (DP cells, arena solves, pruned
-/// candidates) that the `--metrics-out` flag of the table binaries dumps.
-pub fn evaluate_table_observed(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<CellResult> {
+/// Evaluate a whole table, parallelising across cells with `jobs` workers
+/// (`0` = all cores). `obs` is shared by every cell's planner and
+/// simulator: after the run, its registry holds the table-wide search
+/// totals (DP cells, arena solves, pruned candidates) that the
+/// `--metrics-out` flag of the table binaries dumps.
+pub fn evaluate_table(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<CellResult> {
     let mut cells = Vec::new();
     for &budget in &spec.budgets_gb {
         for &model in &spec.models {
@@ -161,7 +141,7 @@ pub fn evaluate_table_observed(spec: &TableSpec, jobs: usize, obs: &Obs) -> Vec<
             let Some(&(budget, model, strategy)) = cells.get(i) else {
                 return done;
             };
-            let cell = evaluate_cell_observed(
+            let cell = evaluate_cell(
                 &spec.topology,
                 &model.spec(),
                 budget,
@@ -206,6 +186,7 @@ mod tests {
             8,
             BaselineStrategy::PyTorchDdp,
             &quick_config(),
+            &Obs::noop(),
         );
         assert_eq!(cell.display(), "OOM");
         assert!(cell.throughput.is_none());
@@ -221,6 +202,7 @@ mod tests {
             16,
             BaselineStrategy::FsdpSdp,
             &quick_config(),
+            &Obs::noop(),
         );
         let t = cell.throughput.expect("SDP fits ViT at 16 GiB");
         assert!(t > 0.0);

@@ -31,10 +31,7 @@ pub mod harness;
 pub mod paper;
 pub mod render;
 
-pub use harness::{
-    evaluate_cell, evaluate_cell_observed, evaluate_table, evaluate_table_observed,
-    evaluate_table_with_jobs, CellResult, TableSpec,
-};
+pub use harness::{evaluate_cell, evaluate_table, CellResult, TableSpec};
 pub use render::{render_cells, write_json};
 
 /// Parse `--jobs N` (or `--jobs=N`) from the process arguments. `0` — the

@@ -19,22 +19,6 @@
 use crate::link::Link;
 use serde::{Deserialize, Serialize};
 
-/// The algorithm a collective runs with.
-///
-/// The paper's estimator (and this crate's default) uses the ring model;
-/// NCCL also implements double-binary-tree all-reduce, which trades ~2× the
-/// wire traffic factor's asymptote for logarithmic latency — it wins on
-/// small payloads and large groups. Exposed for the ablation bench and the
-/// auto-selection extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum CollectiveAlgorithm {
-    /// Ring: `(n−1)`-step, bandwidth-optimal.
-    #[default]
-    Ring,
-    /// Double binary tree: `2·⌈log₂ n⌉` steps, ~`2·V/B` traffic.
-    Tree,
-}
-
 /// The collective primitives Galvatron's strategies generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CollectiveKind {
@@ -107,44 +91,10 @@ impl CollectiveOp {
     /// Wall-clock cost of the collective in seconds (ring α–β model — the
     /// paper's estimator).
     pub fn time(&self) -> f64 {
-        self.time_with(CollectiveAlgorithm::Ring)
-    }
-
-    /// Wall-clock cost under a specific algorithm.
-    pub fn time_with(&self, algorithm: CollectiveAlgorithm) -> f64 {
-        match algorithm {
-            CollectiveAlgorithm::Ring => {
-                let alpha = self.link.latency * self.kind.steps(self.group_size) as f64;
-                let beta = self.kind.traffic_factor(self.group_size) * self.payload_bytes as f64
-                    / self.link.bandwidth;
-                alpha + beta
-            }
-            CollectiveAlgorithm::Tree => {
-                if self.group_size <= 1 {
-                    return 0.0;
-                }
-                let depth = (usize::BITS - (self.group_size - 1).leading_zeros()) as f64;
-                let phases = match self.kind {
-                    // Reduce up the tree + broadcast down.
-                    CollectiveKind::AllReduce => 2.0,
-                    CollectiveKind::AllGather
-                    | CollectiveKind::ReduceScatter
-                    | CollectiveKind::Broadcast => 1.0,
-                    CollectiveKind::PointToPoint => {
-                        return self.time_with(CollectiveAlgorithm::Ring)
-                    }
-                };
-                let alpha = self.link.latency * phases * depth;
-                let beta = phases * self.payload_bytes as f64 / self.link.bandwidth;
-                alpha + beta
-            }
-        }
-    }
-
-    /// The faster of ring and tree — NCCL's auto-selection, to first order.
-    pub fn auto_time(&self) -> f64 {
-        self.time_with(CollectiveAlgorithm::Ring)
-            .min(self.time_with(CollectiveAlgorithm::Tree))
+        let alpha = self.link.latency * self.kind.steps(self.group_size) as f64;
+        let beta = self.kind.traffic_factor(self.group_size) * self.payload_bytes as f64
+            / self.link.bandwidth;
+        alpha + beta
     }
 
     /// The β-only (bandwidth) component — useful when latency is amortised
@@ -250,44 +200,6 @@ mod tests {
         let v = 64 * crate::MIB;
         let op = point_to_point(v, pcie());
         assert!((op.time() - pcie().transfer_time(v)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tree_wins_small_payloads_ring_wins_large() {
-        // Latency-bound regime: 64 ranks, 4 KiB — the tree's log depth beats
-        // the ring's 2(n−1) steps.
-        let small = all_reduce(64, 4 * 1024, pcie());
-        assert!(
-            small.time_with(CollectiveAlgorithm::Tree) < small.time_with(CollectiveAlgorithm::Ring)
-        );
-        // Bandwidth-bound regime: big payload — ring's (2(n−1)/n)·V beats the
-        // tree's 2·V.
-        let large = all_reduce(64, crate::GIB, pcie());
-        assert!(
-            large.time_with(CollectiveAlgorithm::Ring) < large.time_with(CollectiveAlgorithm::Tree)
-        );
-        // Auto always picks the better one.
-        assert_eq!(
-            small.auto_time(),
-            small.time_with(CollectiveAlgorithm::Tree)
-        );
-        assert_eq!(
-            large.auto_time(),
-            large.time_with(CollectiveAlgorithm::Ring)
-        );
-    }
-
-    #[test]
-    fn tree_degenerates_gracefully() {
-        let solo = CollectiveOp {
-            kind: CollectiveKind::AllReduce,
-            group_size: 1,
-            payload_bytes: crate::GIB,
-            link: pcie(),
-        };
-        assert_eq!(solo.time_with(CollectiveAlgorithm::Tree), 0.0);
-        let p2p = point_to_point(crate::MIB, pcie());
-        assert_eq!(p2p.time_with(CollectiveAlgorithm::Tree), p2p.time());
     }
 
     proptest! {

@@ -29,7 +29,7 @@ pub mod link;
 pub mod presets;
 pub mod topology;
 
-pub use collectives::{CollectiveAlgorithm, CollectiveKind, CollectiveOp};
+pub use collectives::{CollectiveKind, CollectiveOp};
 pub use device_type::{island_cluster, mix_label, mixed_a100_rtx_cluster, DeviceType};
 pub use group::{CommGroup, CommGroupPool, GroupId};
 pub use link::{Link, LinkClass};

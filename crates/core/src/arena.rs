@@ -321,8 +321,7 @@ fn build_tables(
             for (si, s) in set.iter().enumerate() {
                 let di = plane * n_strats + si;
                 let lc = provider.layer_cost_rc(estimator, model, l, s, micro, base_device, rc)?;
-                arena.cost[c * n_dec + di] =
-                    lc.total_with_micro_batches(estimator.config(), micro_batches);
+                arena.cost[c * n_dec + di] = lc.total(estimator.config(), micro_batches);
                 let m = provider.layer_memory_rc(estimator, model, l, s, act_stash_batch, rc);
                 arena.mem[c * n_dec + di] =
                     u32::try_from(m.persistent().div_ceil(granularity)).unwrap_or(u32::MAX);

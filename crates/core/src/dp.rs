@@ -141,9 +141,9 @@ pub trait StageCostProvider {
 
     /// `c(l, s, rc)` — [`StageCostProvider::layer_cost`] extended with the
     /// per-layer recompute decision (the fifth DP dimension). The default
-    /// routes `recompute = false` through the historical kernel (bit-identity
-    /// for [`RecomputeMode::Off`]) and prices the recompute plane directly
-    /// via the estimator.
+    /// routes `recompute = false` through [`StageCostProvider::layer_cost`]
+    /// and prices the recompute plane directly via
+    /// [`CostEstimator::layer_cost`].
     #[allow(clippy::too_many_arguments)]
     fn layer_cost_rc(
         &self,
@@ -156,7 +156,7 @@ pub trait StageCostProvider {
         recompute: bool,
     ) -> Result<LayerCost, ClusterError> {
         if recompute {
-            estimator.layer_cost_with_recompute(
+            estimator.layer_cost(
                 &model.layers[layer],
                 model.dtype,
                 strategy,
@@ -182,7 +182,7 @@ pub trait StageCostProvider {
         recompute: bool,
     ) -> LayerMemory {
         if recompute {
-            estimator.layer_memory_with_recompute(
+            estimator.layer_memory(
                 &model.layers[layer],
                 model.dtype,
                 strategy,
@@ -210,7 +210,14 @@ impl StageCostProvider for DirectCosts {
         micro: u64,
         base: DeviceId,
     ) -> Result<LayerCost, ClusterError> {
-        estimator.layer_cost(&model.layers[layer], model.dtype, strategy, micro, base)
+        estimator.layer_cost(
+            &model.layers[layer],
+            model.dtype,
+            strategy,
+            micro,
+            base,
+            false,
+        )
     }
 
     fn layer_memory(
@@ -221,7 +228,13 @@ impl StageCostProvider for DirectCosts {
         strategy: &IntraStageStrategy,
         act_stash_batch: u64,
     ) -> LayerMemory {
-        estimator.layer_memory(&model.layers[layer], model.dtype, strategy, act_stash_batch)
+        estimator.layer_memory(
+            &model.layers[layer],
+            model.dtype,
+            strategy,
+            act_stash_batch,
+            false,
+        )
     }
 
     fn transformation(

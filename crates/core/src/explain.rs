@@ -146,15 +146,9 @@ pub fn explain_plan(
         // margins compare strategies, not checkpointing decisions.
         let layer_total =
             |l: usize, s: &IntraStageStrategy, rc: bool| -> Result<f64, ClusterError> {
-                let c = estimator.layer_cost_with_recompute(
-                    &model.layers[l],
-                    model.dtype,
-                    s,
-                    micro_u64,
-                    base,
-                    rc,
-                )?;
-                Ok(c.total_with_micro_batches(estimator.config(), m))
+                let c =
+                    estimator.layer_cost(&model.layers[l], model.dtype, s, micro_u64, base, rc)?;
+                Ok(c.total(estimator.config(), m))
             };
         let transform = |l: usize,
                          prev: &IntraStageStrategy,
@@ -169,18 +163,10 @@ pub fn explain_plan(
             let l = stage.layer_start + off;
             let layer = &model.layers[l];
             let rc = stage.recompute_of(off);
-            let c = estimator.layer_cost_with_recompute(
-                layer,
-                model.dtype,
-                chosen,
-                micro_u64,
-                base,
-                rc,
-            )?;
-            let total = c.total_with_micro_batches(estimator.config(), m);
+            let c = estimator.layer_cost(layer, model.dtype, chosen, micro_u64, base, rc)?;
+            let total = c.total(estimator.config(), m);
             let mf = m as f64;
-            let mem =
-                estimator.layer_memory_with_recompute(layer, model.dtype, chosen, act_stash, rc);
+            let mem = estimator.layer_memory(layer, model.dtype, chosen, act_stash, rc);
             let prev = (off > 0).then(|| &stage.layer_strategies[off - 1]);
             let next = stage.layer_strategies.get(off + 1);
             let transform_seconds = match prev {

@@ -73,7 +73,7 @@ pub fn solve(
             for (si, s) in set.iter().enumerate() {
                 let di = plane * n_strats + si;
                 let c = provider.layer_cost_rc(estimator, model, l, s, micro, base_device, rc)?;
-                cost[li][di] = c.total_with_micro_batches(estimator.config(), micro_batches);
+                cost[li][di] = c.total(estimator.config(), micro_batches);
                 let m = provider.layer_memory_rc(estimator, model, l, s, act_stash_batch, rc);
                 mem_units[li][di] =
                     u32::try_from(m.persistent().div_ceil(granularity)).unwrap_or(u32::MAX);
@@ -322,7 +322,8 @@ mod tests {
             let mut reserve = 0u64;
             for l in &model.layers {
                 for s in set.iter() {
-                    reserve = reserve.max(est.layer_memory(l, model.dtype, s, batch).transient);
+                    reserve =
+                        reserve.max(est.layer_memory(l, model.dtype, s, batch, false).transient);
                 }
             }
             let budget_units = budget.saturating_sub(2 * reserve) / granularity;
@@ -338,10 +339,12 @@ mod tests {
                 for (li, &si) in assignment.iter().enumerate() {
                     let layer = &model.layers[li];
                     let s = &set.strategies()[si];
-                    let m = est.layer_memory(layer, model.dtype, s, batch);
+                    let m = est.layer_memory(layer, model.dtype, s, batch, false);
                     mem_units += m.persistent().div_ceil(granularity);
-                    let c = est.layer_cost(layer, model.dtype, s, batch, 0).unwrap();
-                    time += c.total(est.config());
+                    let c = est
+                        .layer_cost(layer, model.dtype, s, batch, 0, false)
+                        .unwrap();
+                    time += c.total(est.config(), 1);
                     if li > 0 {
                         time += est
                             .transformation_cost(

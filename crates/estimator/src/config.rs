@@ -25,11 +25,6 @@ pub struct EstimatorConfig {
     /// transferring costs in PP as they are usually quite small", §3.3);
     /// the simulator always pays them.
     pub include_boundary_comm: bool,
-    /// Recompute activations in backward instead of stashing them
-    /// (disabled in the paper's evaluation, §5.1; kept as the documented
-    /// extension). Backward compute grows by one forward; the stash shrinks
-    /// to layer boundaries.
-    pub recompute_activations: bool,
 }
 
 impl Default for EstimatorConfig {
@@ -42,7 +37,6 @@ impl Default for EstimatorConfig {
             comm_overhead: 20e-6,
             micro_batch_overhead: 0.1e-3,
             include_boundary_comm: false,
-            recompute_activations: false,
         }
     }
 }
@@ -66,7 +60,6 @@ mod tests {
         let c = EstimatorConfig::default();
         assert!((c.overlap_slowdown - 1.3).abs() < 1e-12);
         assert!(c.model_overlap_slowdown);
-        assert!(!c.recompute_activations);
         assert!(!c.include_boundary_comm);
         assert_eq!(c.optimizer_bytes_per_param, 8);
     }

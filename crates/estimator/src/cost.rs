@@ -12,8 +12,9 @@
 
 use crate::config::EstimatorConfig;
 use crate::overlap::overlapped_time;
+use crate::plan_cost::CostEstimator;
 use galvatron_cluster::collectives::{all_gather, all_reduce, reduce_scatter};
-use galvatron_cluster::{ClusterError, ClusterTopology, DeviceId};
+use galvatron_cluster::{ClusterError, DeviceId};
 use galvatron_model::{DType, LayerSpec};
 use galvatron_strategy::{IntraStageStrategy, Paradigm};
 use serde::{Deserialize, Serialize};
@@ -58,53 +59,17 @@ impl LayerCost {
         }
     }
 
-    /// All blocking forward communication for one pass over this batch.
-    pub fn forward_comm(&self) -> f64 {
-        self.tp_comm_forward + self.sdp_gather
-    }
-
-    /// All blocking backward communication for one pass over this batch.
-    pub fn backward_blocking_comm(&self) -> f64 {
-        self.tp_comm_backward + self.sdp_gather
-    }
-
-    /// Sum of all communication components.
-    pub fn total_comm(&self) -> f64 {
-        self.tp_comm_forward
-            + self.tp_comm_backward
-            + 2.0 * self.sdp_gather
-            + self.sdp_reduce_scatter
-            + self.dp_allreduce
-    }
-
-    /// Wall-clock total under `config`'s overlap model, treating the batch
-    /// as a single micro-batch (the Eq. 1 DP granularity).
+    /// Wall-clock total under `config`'s overlap model for a layer inside a
+    /// stage running `micro_batches` micro-batches (`1` is the Eq. 1 DP
+    /// granularity): the compute and TP terms were computed at micro payload
+    /// and repeat `m` times, and so do the ZeRO-3 gathers and
+    /// reduce-scatters; only the DP all-reduce stays per-iteration.
     ///
     /// TP all-reduces sit inside the layer's dependency chain and cannot be
     /// hidden; ZeRO-3 gathers are prefetched against forward/backward
     /// compute and gradient synchronisation overlaps backward compute —
     /// with both sides slowed by α while co-resident (§3.4).
-    pub fn total(&self, config: &EstimatorConfig) -> f64 {
-        let alpha = config.overlap_slowdown;
-        let modeled = config.model_overlap_slowdown;
-        let forward = self.tp_comm_forward
-            + overlapped_time(self.forward_compute, self.sdp_gather, alpha, modeled);
-        let backward = self.tp_comm_backward
-            + overlapped_time(
-                self.backward_compute,
-                self.sdp_gather + self.sdp_reduce_scatter + self.dp_allreduce,
-                alpha,
-                modeled,
-            );
-        forward + backward + self.overhead
-    }
-
-    /// Like [`LayerCost::total`], but for a layer inside a GPipe stage
-    /// running `micro_batches` micro-batches: the compute and TP terms were
-    /// computed at micro payload and repeat `m` times, and so do the ZeRO-3
-    /// gathers and reduce-scatters; only the DP all-reduce stays
-    /// per-iteration.
-    pub fn total_with_micro_batches(&self, config: &EstimatorConfig, micro_batches: usize) -> f64 {
+    pub fn total(&self, config: &EstimatorConfig, micro_batches: usize) -> f64 {
         let m = micro_batches.max(1) as f64;
         let alpha = config.overlap_slowdown;
         let modeled = config.model_overlap_slowdown;
@@ -138,48 +103,16 @@ impl LayerCost {
     }
 }
 
-/// Maps (layer, strategy, batch) to a [`LayerCost`] over a topology.
-#[derive(Debug, Clone)]
-pub struct LayerCostModel {
-    config: EstimatorConfig,
-}
-
-impl LayerCostModel {
-    /// Build from an estimator configuration.
-    pub fn new(config: EstimatorConfig) -> Self {
-        LayerCostModel { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.config
-    }
-
-    /// Cost of `layer` under `strategy` for `samples_batch` samples flowing
-    /// through the stage, when the strategy runs on the contiguous device
-    /// group starting at `base`.
+impl CostEstimator {
+    /// Per-layer time cost — `c(l, s)` of Eq. 1 — of `layer` under
+    /// `strategy` for `samples_batch` samples flowing through the stage,
+    /// when the strategy runs on the contiguous device group starting at
+    /// `base`. `recompute = true` prices activation checkpointing for this
+    /// layer (the fifth DP dimension): the backward pass replays the forward,
+    /// 3× forward compute instead of 2×, the 4/3 total ratio the simulator
+    /// pins.
     pub fn layer_cost(
         &self,
-        topology: &ClusterTopology,
-        layer: &LayerSpec,
-        dtype: DType,
-        strategy: &IntraStageStrategy,
-        samples_batch: u64,
-        base: DeviceId,
-    ) -> Result<LayerCost, ClusterError> {
-        self.layer_cost_with_recompute(topology, layer, dtype, strategy, samples_batch, base, false)
-    }
-
-    /// [`LayerCostModel::layer_cost`] with an explicit per-layer recompute
-    /// decision. `recompute = true` prices activation checkpointing for this
-    /// layer — the backward pass replays the forward (3× forward compute
-    /// instead of 2×, the 4/3 total ratio the simulator pins) — regardless
-    /// of the global [`EstimatorConfig::recompute_activations`] default,
-    /// which is kept as a back-compat whole-model override.
-    #[allow(clippy::too_many_arguments)]
-    pub fn layer_cost_with_recompute(
-        &self,
-        topology: &ClusterTopology,
         layer: &LayerSpec,
         dtype: DType,
         strategy: &IntraStageStrategy,
@@ -187,6 +120,8 @@ impl LayerCostModel {
         base: DeviceId,
         recompute: bool,
     ) -> Result<LayerCost, ClusterError> {
+        let config = self.config();
+        let topology = self.topology();
         let dp = strategy.dp();
         let sdp = strategy.sdp();
         let tp = strategy.tp();
@@ -198,13 +133,9 @@ impl LayerCostModel {
         // clusters, §6 future work).
         let flops = layer.forward_flops_per_sample() * samples / tp as f64;
         let rate = topology.group_sustained_flops(base, strategy.total_degree().max(1))?;
-        let forward_compute = flops / rate + self.config.kernel_overhead;
-        let backward_factor = if recompute || self.config.recompute_activations {
-            3.0
-        } else {
-            2.0
-        };
-        let backward_compute = backward_factor * flops / rate + self.config.kernel_overhead;
+        let forward_compute = flops / rate + config.kernel_overhead;
+        let backward_factor = if recompute { 3.0 } else { 2.0 };
+        let backward_compute = backward_factor * flops / rate + config.kernel_overhead;
 
         // --- communication -------------------------------------------------
         let mut tp_comm = 0.0;
@@ -214,7 +145,7 @@ impl LayerCostModel {
                 .expect("tp > 1 implies a tensor axis");
             let payload = (layer.output_bytes_per_sample(dtype) as f64 * samples).round() as u64;
             let per_pass = layer.tp_allreduces_per_pass() as f64;
-            tp_comm = per_pass * all_reduce(tp, payload, link).time() + self.config.comm_overhead;
+            tp_comm = per_pass * all_reduce(tp, payload, link).time() + config.comm_overhead;
         }
 
         let param_bytes_tp = layer.param_bytes(dtype).div_ceil(tp as u64);
@@ -228,15 +159,15 @@ impl LayerCostModel {
             // Two all-gathers (forward, backward) + one reduce-scatter
             // (§3.1.1: "the communication cost of SDP is 1.5× larger than
             // DP").
-            sdp_gather = all_gather(sdp, param_bytes_tp, link).time() + self.config.comm_overhead;
-            sdp_rs = reduce_scatter(sdp, param_bytes_tp, link).time() + self.config.comm_overhead;
+            sdp_gather = all_gather(sdp, param_bytes_tp, link).time() + config.comm_overhead;
+            sdp_rs = reduce_scatter(sdp, param_bytes_tp, link).time() + config.comm_overhead;
         }
         if dp > 1 {
             let link = strategy
                 .paradigm_link(topology, Paradigm::Data, base)?
                 .expect("dp > 1 implies a data axis");
             let payload = param_bytes_tp.div_ceil(sdp as u64);
-            dp_ar = all_reduce(dp, payload, link).time() + self.config.comm_overhead;
+            dp_ar = all_reduce(dp, payload, link).time() + config.comm_overhead;
         }
 
         Ok(LayerCost {
@@ -280,18 +211,23 @@ mod tests {
             .unwrap()
     }
 
-    fn cost_of(strategy: &IntraStageStrategy, batch: u64) -> LayerCost {
-        let model = LayerCostModel::new(EstimatorConfig::default());
-        model
-            .layer_cost(
-                &rtx_titan_node(8),
-                &bert_layer(),
-                DType::F32,
-                strategy,
-                batch,
-                0,
-            )
+    fn cost_with(strategy: &IntraStageStrategy, batch: u64, recompute: bool) -> LayerCost {
+        CostEstimator::with_defaults(rtx_titan_node(8))
+            .layer_cost(&bert_layer(), DType::F32, strategy, batch, 0, recompute)
             .unwrap()
+    }
+
+    fn cost_of(strategy: &IntraStageStrategy, batch: u64) -> LayerCost {
+        cost_with(strategy, batch, false)
+    }
+
+    /// Sum of all communication components.
+    fn total_comm(c: &LayerCost) -> f64 {
+        c.tp_comm_forward
+            + c.tp_comm_backward
+            + 2.0 * c.sdp_gather
+            + c.sdp_reduce_scatter
+            + c.dp_allreduce
     }
 
     #[test]
@@ -307,12 +243,12 @@ mod tests {
     fn dp_comm_is_overlappable_and_tp_comm_is_blocking() {
         let dp = cost_of(&strat(&[(Paradigm::Data, 8)]), 64);
         assert!(dp.dp_allreduce > 0.0);
-        assert_eq!(dp.forward_comm(), 0.0);
-        assert_eq!(dp.backward_blocking_comm(), 0.0);
+        assert_eq!(dp.tp_comm_forward + dp.sdp_gather, 0.0);
+        assert_eq!(dp.tp_comm_backward + dp.sdp_gather, 0.0);
 
         let tp = cost_of(&strat(&[(Paradigm::Tensor, 8)]), 64);
-        assert!(tp.forward_comm() > 0.0);
-        assert!(tp.backward_blocking_comm() > 0.0);
+        assert!(tp.tp_comm_forward + tp.sdp_gather > 0.0);
+        assert!(tp.tp_comm_backward + tp.sdp_gather > 0.0);
         assert_eq!(tp.dp_allreduce + tp.sdp_reduce_scatter, 0.0);
     }
 
@@ -321,7 +257,7 @@ mod tests {
         let dp = cost_of(&strat(&[(Paradigm::Data, 8)]), 64);
         let sdp = cost_of(&strat(&[(Paradigm::ShardedData, 8)]), 64);
         // Compare β-dominated volumes; launch overheads are ~µs here.
-        let ratio = sdp.total_comm() / dp.total_comm();
+        let ratio = total_comm(&sdp) / total_comm(&dp);
         assert!((ratio - 1.5).abs() < 0.05, "ratio {ratio}");
     }
 
@@ -341,28 +277,14 @@ mod tests {
         let cfg_with = EstimatorConfig::default();
         let cfg_without = EstimatorConfig::without_overlap_modeling();
         let dp = cost_of(&strat(&[(Paradigm::Data, 8)]), 64);
-        assert!(dp.total(&cfg_with) > dp.total(&cfg_without));
+        assert!(dp.total(&cfg_with, 1) > dp.total(&cfg_without, 1));
         let tp = cost_of(&strat(&[(Paradigm::Tensor, 8)]), 64);
-        assert_eq!(tp.total(&cfg_with), tp.total(&cfg_without));
+        assert_eq!(tp.total(&cfg_with, 1), tp.total(&cfg_without, 1));
     }
 
     #[test]
     fn recompute_inflates_backward() {
-        let cfg = EstimatorConfig {
-            recompute_activations: true,
-            ..EstimatorConfig::default()
-        };
-        let model = LayerCostModel::new(cfg);
-        let c = model
-            .layer_cost(
-                &rtx_titan_node(8),
-                &bert_layer(),
-                DType::F32,
-                &strat(&[(Paradigm::Data, 8)]),
-                64,
-                0,
-            )
-            .unwrap();
+        let c = cost_with(&strat(&[(Paradigm::Data, 8)]), 64, true);
         let base = cost_of(&strat(&[(Paradigm::Data, 8)]), 64);
         assert!(c.backward_compute > base.backward_compute);
         assert_eq!(c.forward_compute, base.forward_compute);
@@ -404,7 +326,7 @@ mod tests {
             let cfg = EstimatorConfig::default();
             for s in galvatron_strategy::DecisionTreeBuilder::new(8).strategies().iter() {
                 let c = cost_of(s, b);
-                let t = c.total(&cfg);
+                let t = c.total(&cfg, 1);
                 prop_assert!(t.is_finite() && t > 0.0, "{s}: {t}");
             }
         }

@@ -23,8 +23,8 @@ pub mod plan_cost;
 
 pub use calibrate::{fit_alpha, fit_link, fit_rate, FittedLink};
 pub use config::EstimatorConfig;
-pub use cost::{LayerCost, LayerCostModel};
-pub use memory::{LayerMemory, MemoryModel};
+pub use cost::LayerCost;
+pub use memory::LayerMemory;
 pub use overlap::overlapped_time;
 pub use pipeline::{gpipe_iteration_time, optimal_micro_batches};
 pub use plan_cost::{CostEstimator, PlanCost, StageCost};

@@ -16,8 +16,8 @@
 //!   parameters must be materialised (`P/tp`), so one un-sharded layer's
 //!   parameters exist at a time.
 
-use crate::config::EstimatorConfig;
-use galvatron_model::LayerSpec;
+use crate::plan_cost::CostEstimator;
+use galvatron_model::{DType, LayerSpec};
 use galvatron_strategy::IntraStageStrategy;
 use serde::{Deserialize, Serialize};
 
@@ -48,41 +48,15 @@ impl LayerMemory {
     }
 }
 
-/// The memory model: maps (layer, strategy, batch) to per-device bytes.
-#[derive(Debug, Clone)]
-pub struct MemoryModel {
-    config: EstimatorConfig,
-}
-
-impl MemoryModel {
-    /// Build from an estimator configuration.
-    pub fn new(config: EstimatorConfig) -> Self {
-        MemoryModel { config }
-    }
-
-    /// Memory of `layer` under `strategy` with `stage_batch` samples
-    /// flowing through the stage per iteration.
-    ///
-    /// This is the `O(L, S_j)` of Eq. 1.
+impl CostEstimator {
+    /// Per-layer memory — `O(l, s)` of Eq. 1 — of `layer` under `strategy`
+    /// with `stage_batch` samples' activations stashed on the stage.
+    /// `recompute = true` stashes only the layer-boundary input for this
+    /// layer; everything else is replayed during backward.
     pub fn layer_memory(
         &self,
         layer: &LayerSpec,
-        dtype: galvatron_model::DType,
-        strategy: &IntraStageStrategy,
-        stage_batch: u64,
-    ) -> LayerMemory {
-        self.layer_memory_with_recompute(layer, dtype, strategy, stage_batch, false)
-    }
-
-    /// [`MemoryModel::layer_memory`] with an explicit per-layer recompute
-    /// decision. `recompute = true` stashes only the layer-boundary input
-    /// for this layer (everything else is replayed during backward),
-    /// regardless of the global [`EstimatorConfig::recompute_activations`]
-    /// default, which remains a back-compat whole-model override.
-    pub fn layer_memory_with_recompute(
-        &self,
-        layer: &LayerSpec,
-        dtype: galvatron_model::DType,
+        dtype: DType,
         strategy: &IntraStageStrategy,
         stage_batch: u64,
         recompute: bool,
@@ -96,10 +70,10 @@ impl MemoryModel {
         let params = param_bytes.div_ceil(shard);
         let grads = params;
         let optimizer =
-            (layer.param_count() * self.config.optimizer_bytes_per_param).div_ceil(shard);
+            (layer.param_count() * self.config().optimizer_bytes_per_param).div_ceil(shard);
 
         let samples_per_device = stage_batch.div_ceil(data);
-        let activations = if recompute || self.config.recompute_activations {
+        let activations = if recompute {
             // Only layer-boundary inputs are kept; everything else is
             // recomputed during backward.
             layer.output_bytes_per_sample(dtype) * samples_per_device
@@ -122,8 +96,8 @@ impl MemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use galvatron_cluster::GIB;
-    use galvatron_model::{DType, LayerKind, PaperModel};
+    use galvatron_cluster::{rtx_titan_node, GIB};
+    use galvatron_model::{LayerKind, PaperModel};
     use galvatron_strategy::{Paradigm, StrategyAxis};
     use proptest::prelude::*;
 
@@ -142,6 +116,10 @@ mod tests {
         )
     }
 
+    fn estimator() -> CostEstimator {
+        CostEstimator::with_defaults(rtx_titan_node(8))
+    }
+
     fn strat(axes: &[(Paradigm, usize)]) -> IntraStageStrategy {
         IntraStageStrategy::new(axes.iter().map(|&(p, d)| StrategyAxis::new(p, d)).collect())
             .unwrap()
@@ -149,9 +127,15 @@ mod tests {
 
     #[test]
     fn dp_replicates_state_and_splits_activations() {
-        let model = MemoryModel::new(EstimatorConfig::default());
+        let model = estimator();
         let layer = bert_layer();
-        let m = model.layer_memory(&layer, DType::F32, &strat(&[(Paradigm::Data, 8)]), 64);
+        let m = model.layer_memory(
+            &layer,
+            DType::F32,
+            &strat(&[(Paradigm::Data, 8)]),
+            64,
+            false,
+        );
         assert_eq!(m.params, layer.param_bytes(DType::F32));
         assert_eq!(m.optimizer, layer.param_count() * 8);
         assert_eq!(
@@ -163,14 +147,21 @@ mod tests {
 
     #[test]
     fn sdp_shards_all_state_but_pays_a_transient() {
-        let model = MemoryModel::new(EstimatorConfig::default());
+        let model = estimator();
         let layer = bert_layer();
-        let dp = model.layer_memory(&layer, DType::F32, &strat(&[(Paradigm::Data, 8)]), 64);
+        let dp = model.layer_memory(
+            &layer,
+            DType::F32,
+            &strat(&[(Paradigm::Data, 8)]),
+            64,
+            false,
+        );
         let sdp = model.layer_memory(
             &layer,
             DType::F32,
             &strat(&[(Paradigm::ShardedData, 8)]),
             64,
+            false,
         );
         assert_eq!(sdp.params, dp.params.div_ceil(8));
         assert_eq!(sdp.optimizer, dp.optimizer.div_ceil(8));
@@ -181,9 +172,15 @@ mod tests {
 
     #[test]
     fn tp_cannot_shrink_replicated_activations() {
-        let model = MemoryModel::new(EstimatorConfig::default());
+        let model = estimator();
         let layer = bert_layer();
-        let tp = model.layer_memory(&layer, DType::F32, &strat(&[(Paradigm::Tensor, 8)]), 64);
+        let tp = model.layer_memory(
+            &layer,
+            DType::F32,
+            &strat(&[(Paradigm::Tensor, 8)]),
+            64,
+            false,
+        );
         let (repl, _) = layer.activation_split_bytes(DType::F32);
         // Full batch on every device (no data split), replicated floor holds.
         assert!(tp.activations >= repl * 64);
@@ -192,13 +189,9 @@ mod tests {
 
     #[test]
     fn recompute_keeps_only_boundaries() {
-        let cfg = EstimatorConfig {
-            recompute_activations: true,
-            ..EstimatorConfig::default()
-        };
-        let model = MemoryModel::new(cfg);
         let layer = bert_layer();
-        let m = model.layer_memory(&layer, DType::F32, &strat(&[(Paradigm::Data, 8)]), 64);
+        let s = strat(&[(Paradigm::Data, 8)]);
+        let m = estimator().layer_memory(&layer, DType::F32, &s, 64, true);
         assert_eq!(m.activations, layer.output_bytes_per_sample(DType::F32) * 8);
     }
 
@@ -206,12 +199,12 @@ mod tests {
     fn whole_model_dp_footprint_matches_hand_calculation() {
         // BERT-Huge-32 under pure DP: 16 bytes/param state + activations.
         let spec = PaperModel::BertHuge32.spec();
-        let model = MemoryModel::new(EstimatorConfig::default());
+        let model = estimator();
         let s = strat(&[(Paradigm::Data, 8)]);
         let total: u64 = spec
             .layers
             .iter()
-            .map(|l| model.layer_memory(l, spec.dtype, &s, 8).persistent())
+            .map(|l| model.layer_memory(l, spec.dtype, &s, 8, false).persistent())
             .sum();
         let expected_state = spec.total_param_count() * 16;
         let expected_act = spec.activation_bytes_per_sample(); // 8 / 8 = 1 sample/device
@@ -225,25 +218,25 @@ mod tests {
     proptest! {
         #[test]
         fn memory_is_monotone_in_batch(b in 1u64..256) {
-            let model = MemoryModel::new(EstimatorConfig::default());
+            let model = estimator();
             let layer = bert_layer();
             let s = strat(&[(Paradigm::Data, 4), (Paradigm::Tensor, 2)]);
-            let small = model.layer_memory(&layer, DType::F32, &s, b);
-            let large = model.layer_memory(&layer, DType::F32, &s, b * 2);
+            let small = model.layer_memory(&layer, DType::F32, &s, b, false);
+            let large = model.layer_memory(&layer, DType::F32, &s, b * 2, false);
             prop_assert!(large.persistent() >= small.persistent());
             prop_assert_eq!(large.params, small.params);
         }
 
         #[test]
         fn sharding_more_never_costs_more_state(k in 1usize..4) {
-            let model = MemoryModel::new(EstimatorConfig::default());
+            let model = estimator();
             let layer = bert_layer();
             let small = model.layer_memory(
                 &layer, DType::F32,
-                &strat(&[(Paradigm::Tensor, 1 << (k + 1))]), 64);
+                &strat(&[(Paradigm::Tensor, 1 << (k + 1))]), 64, false);
             let big = model.layer_memory(
                 &layer, DType::F32,
-                &strat(&[(Paradigm::Tensor, 1 << k)]).clone(), 64);
+                &strat(&[(Paradigm::Tensor, 1 << k)]).clone(), 64, false);
             prop_assert!(small.params <= big.params);
             prop_assert!(small.optimizer <= big.optimizer);
         }

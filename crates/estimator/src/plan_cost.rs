@@ -1,8 +1,7 @@
 //! Whole-plan cost estimation: the estimator's top-level API.
 
 use crate::config::EstimatorConfig;
-use crate::cost::{LayerCost, LayerCostModel};
-use crate::memory::{LayerMemory, MemoryModel};
+use crate::cost::LayerCost;
 use crate::pipeline::gpipe_iteration_time;
 use galvatron_cluster::collectives::point_to_point;
 use galvatron_cluster::{ClusterError, ClusterTopology, DeviceId};
@@ -51,7 +50,11 @@ impl PlanCost {
     }
 }
 
-/// Galvatron's cost estimator over a fixed cluster topology.
+/// Galvatron's cost estimator over a fixed cluster topology: one method per
+/// Eq. 1 term — [`CostEstimator::layer_cost`] for `c(l, s)` (in `cost.rs`),
+/// [`CostEstimator::layer_memory`] for `O(l, s)` (in `memory.rs`) and
+/// [`CostEstimator::transformation_cost`] for `R(l, s_i, s_j)` — composed
+/// into stage and plan costs.
 ///
 /// ```
 /// use galvatron_cluster::{rtx_titan_node, GIB};
@@ -76,8 +79,6 @@ pub struct CostEstimator {
     // copy the (possibly large) device/link tables.
     topology: Arc<ClusterTopology>,
     config: EstimatorConfig,
-    cost_model: LayerCostModel,
-    memory_model: MemoryModel,
 }
 
 impl CostEstimator {
@@ -85,8 +86,6 @@ impl CostEstimator {
     /// owned topology or an already-shared `Arc<ClusterTopology>`.
     pub fn new(topology: impl Into<Arc<ClusterTopology>>, config: EstimatorConfig) -> Self {
         CostEstimator {
-            cost_model: LayerCostModel::new(config.clone()),
-            memory_model: MemoryModel::new(config.clone()),
             topology: topology.into(),
             config,
         }
@@ -105,79 +104,6 @@ impl CostEstimator {
     /// The topology.
     pub fn topology(&self) -> &ClusterTopology {
         &self.topology
-    }
-
-    /// The topology's shared handle (cheap to clone across threads).
-    pub fn topology_arc(&self) -> Arc<ClusterTopology> {
-        Arc::clone(&self.topology)
-    }
-
-    /// Per-layer time cost — `c(l, s)` of Eq. 1.
-    pub fn layer_cost(
-        &self,
-        layer: &LayerSpec,
-        dtype: galvatron_model::DType,
-        strategy: &IntraStageStrategy,
-        stage_batch: u64,
-        base: DeviceId,
-    ) -> Result<LayerCost, ClusterError> {
-        self.cost_model
-            .layer_cost(&self.topology, layer, dtype, strategy, stage_batch, base)
-    }
-
-    /// [`CostEstimator::layer_cost`] with an explicit per-layer recompute
-    /// decision (the fifth DP dimension): `recompute = true` prices the
-    /// backward-replay forward pass for this layer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn layer_cost_with_recompute(
-        &self,
-        layer: &LayerSpec,
-        dtype: galvatron_model::DType,
-        strategy: &IntraStageStrategy,
-        stage_batch: u64,
-        base: DeviceId,
-        recompute: bool,
-    ) -> Result<LayerCost, ClusterError> {
-        self.cost_model.layer_cost_with_recompute(
-            &self.topology,
-            layer,
-            dtype,
-            strategy,
-            stage_batch,
-            base,
-            recompute,
-        )
-    }
-
-    /// Per-layer memory — `O(l, s)` of Eq. 1.
-    pub fn layer_memory(
-        &self,
-        layer: &LayerSpec,
-        dtype: galvatron_model::DType,
-        strategy: &IntraStageStrategy,
-        stage_batch: u64,
-    ) -> LayerMemory {
-        self.memory_model
-            .layer_memory(layer, dtype, strategy, stage_batch)
-    }
-
-    /// [`CostEstimator::layer_memory`] with an explicit per-layer recompute
-    /// decision: `recompute = true` stashes only the layer-boundary input.
-    pub fn layer_memory_with_recompute(
-        &self,
-        layer: &LayerSpec,
-        dtype: galvatron_model::DType,
-        strategy: &IntraStageStrategy,
-        stage_batch: u64,
-        recompute: bool,
-    ) -> LayerMemory {
-        self.memory_model.layer_memory_with_recompute(
-            layer,
-            dtype,
-            strategy,
-            stage_batch,
-            recompute,
-        )
     }
 
     /// The Slice-Gather cost between two adjacent layers in a stage —
@@ -205,22 +131,12 @@ impl CostEstimator {
     /// are paid per micro-batch (with their launch overheads), ZeRO-3
     /// parameter gathers once per pass, and gradient synchronisation once
     /// per iteration, overlapping the *whole* backward sweep.
-    pub fn stage_cost(
-        &self,
-        model: &ModelSpec,
-        stage: &StagePlan,
-        global_batch: u64,
-        micro_batches: usize,
-    ) -> Result<StageCost, ClusterError> {
-        self.stage_cost_with_stash(model, stage, global_batch, micro_batches, global_batch)
-    }
-
-    /// [`CostEstimator::stage_cost`] with an explicit *activation-stash
-    /// batch*: the samples whose activations are simultaneously resident on
-    /// the stage. GPipe keeps the whole batch in flight; 1F1B caps it at
-    /// `micro × (P − stage_index)` (see
+    ///
+    /// `act_stash_batch` is the number of samples whose activations are
+    /// simultaneously resident on the stage: GPipe keeps the whole batch in
+    /// flight; 1F1B caps it at `micro × (P − stage_index)` (see
     /// [`galvatron_strategy::PipelineSchedule::in_flight`]).
-    pub fn stage_cost_with_stash(
+    pub fn stage_cost(
         &self,
         model: &ModelSpec,
         stage: &StagePlan,
@@ -249,8 +165,7 @@ impl CostEstimator {
             let layer = &model.layers[layer_idx];
             let strategy = &stage.layer_strategies[offset];
             let recompute = stage.recompute_of(offset);
-            let micro_cost = self.cost_model.layer_cost_with_recompute(
-                &self.topology,
+            let micro_cost = self.layer_cost(
                 layer,
                 model.dtype,
                 strategy,
@@ -278,13 +193,8 @@ impl CostEstimator {
 
             // Model state is batch-independent; the activation term uses
             // the schedule's in-flight stash.
-            let memory = self.memory_model.layer_memory_with_recompute(
-                layer,
-                model.dtype,
-                strategy,
-                act_stash_batch,
-                recompute,
-            );
+            let memory =
+                self.layer_memory(layer, model.dtype, strategy, act_stash_batch, recompute);
             persistent += memory.persistent();
             max_transient = max_transient.max(memory.transient);
 
@@ -355,8 +265,7 @@ impl CostEstimator {
             let act_batch =
                 plan.schedule
                     .stash_samples(i, p_degree, plan.micro_batches, plan.global_batch);
-            let cost =
-                self.stage_cost_with_stash(model, stage, batch, plan.micro_batches, act_batch)?;
+            let cost = self.stage_cost(model, stage, batch, plan.micro_batches, act_batch)?;
             stage_times.push(cost.time - cost.sync_tail);
             stage_peaks.push(cost.peak_memory);
             max_tail = max_tail.max(cost.sync_tail);
@@ -381,19 +290,6 @@ impl CostEstimator {
             stage_times,
             stage_peak_memory: stage_peaks,
         })
-    }
-
-    /// Whether the plan fits within `budget_bytes` of device memory (after
-    /// framework overhead).
-    pub fn plan_fits(
-        &self,
-        model: &ModelSpec,
-        plan: &ParallelPlan,
-        budget_bytes: u64,
-    ) -> Result<bool, ClusterError> {
-        let usable = self.topology.usable_budget(budget_bytes);
-        let cost = self.plan_cost(model, plan)?;
-        Ok(cost.peak_memory() <= usable)
     }
 
     /// Critical-path cost of the PP boundary transfers. Sends at different
@@ -465,8 +361,10 @@ mod tests {
         let est = estimator();
         let (model, dp_plan) = uniform_plan(strat(&[(Paradigm::Data, 8)]), 64);
         let (_, sdp_plan) = uniform_plan(strat(&[(Paradigm::ShardedData, 8)]), 64);
-        assert!(!est.plan_fits(&model, &dp_plan, 8 * GIB).unwrap());
-        assert!(est.plan_fits(&model, &sdp_plan, 8 * GIB).unwrap());
+        let usable = est.topology().usable_budget(8 * GIB);
+        let fits = |plan| est.plan_cost(&model, plan).unwrap().peak_memory() <= usable;
+        assert!(!fits(&dp_plan));
+        assert!(fits(&sdp_plan));
     }
 
     #[test]

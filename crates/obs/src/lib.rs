@@ -11,10 +11,9 @@
 //!   and bench binaries expose `planner_dp_cells_evaluated`,
 //!   `dp_arena_solves`, `elastic_replans_total`, … uniformly;
 //! * a span/event layer ([`Span`], [`SpanSink`]) with swappable sinks — a
-//!   ring buffer for tests, a stderr pretty-printer for narration, and a
-//!   Chrome-trace sink sharing the [`chrome::ChromeTraceWriter`] with the
-//!   simulator so search spans and simulated timelines land in one
-//!   Perfetto file.
+//!   ring buffer for tests and a Chrome-trace sink sharing the
+//!   [`chrome::ChromeTraceWriter`] with the simulator so search spans and
+//!   simulated timelines land in one Perfetto file.
 //!
 //! Instrumented components accept an [`Obs`] handle (registry + sink
 //! pair); the default [`Obs::noop`] costs one atomic load per counter
@@ -49,10 +48,7 @@ pub use registry::{
     bucket_bound, BucketCount, Counter, Gauge, Histogram, HistogramSample, MetricKind,
     MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue, HISTOGRAM_BUCKETS,
 };
-pub use span::{
-    ChromeSpanSink, FanoutSink, FieldValue, NullSink, RingBufferSink, Span, SpanRecord, SpanSink,
-    StderrSink,
-};
+pub use span::{ChromeSpanSink, FieldValue, NullSink, RingBufferSink, Span, SpanRecord, SpanSink};
 pub use trace::{
     child_span_id, structural_digest, AttributionPhase, AttributionRecord, SlowRing,
     SlowTraceEntry, SpanId, SpanLink, TraceContext, TraceId, TraceIdGen, TraceScope,

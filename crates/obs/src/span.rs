@@ -8,17 +8,15 @@
 //! with [`crate::Obs::record_span`], so their records are deterministic.
 //!
 //! Sinks: [`NullSink`] (the no-op default), [`RingBufferSink`] (bounded
-//! in-memory recorder for tests), [`StderrSink`] (human-readable
-//! narration), [`ChromeSpanSink`] (collects records for export through
-//! [`crate::chrome::ChromeTraceWriter`], so planner spans and simulator
-//! timelines can land in one Perfetto file).
+//! in-memory recorder for tests), [`ChromeSpanSink`] (collects records for
+//! export through [`crate::chrome::ChromeTraceWriter`], so planner spans and
+//! simulator timelines can land in one Perfetto file).
 
 use crate::trace::{SpanLink, TraceContext};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,28 +172,6 @@ impl SpanSink for RingBufferSink {
     }
 }
 
-/// Pretty-prints each span to stderr, one line per span — the narration
-/// channel for binaries (library crates never print directly).
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl SpanSink for StderrSink {
-    fn record(&self, span: SpanRecord) {
-        let mut line = format!(
-            "[obs] {} {:.3}ms @ {:.3}s",
-            span.name,
-            span.duration_seconds * 1e3,
-            span.start_seconds
-        );
-        for (k, v) in &span.fields {
-            line.push_str(&format!(" {k}={v}"));
-        }
-        line.push('\n');
-        let stderr = std::io::stderr();
-        let _ = stderr.lock().write_all(line.as_bytes());
-    }
-}
-
 /// Collects spans for Chrome-trace export (see
 /// [`crate::chrome::write_spans`]).
 #[derive(Debug, Default)]
@@ -218,31 +194,6 @@ impl ChromeSpanSink {
 impl SpanSink for ChromeSpanSink {
     fn record(&self, span: SpanRecord) {
         self.spans.lock().push(span);
-    }
-}
-
-/// Broadcasts each span to every inner sink — e.g. narrate to stderr *and*
-/// collect for a trace file.
-pub struct FanoutSink(Vec<Arc<dyn SpanSink>>);
-
-impl FanoutSink {
-    /// A sink delivering to all of `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn SpanSink>>) -> Self {
-        FanoutSink(sinks)
-    }
-}
-
-impl SpanSink for FanoutSink {
-    fn record(&self, span: SpanRecord) {
-        for sink in &self.0 {
-            sink.record(span.clone());
-        }
-    }
-}
-
-impl fmt::Debug for FanoutSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FanoutSink({} sinks)", self.0.len())
     }
 }
 
@@ -355,20 +306,5 @@ mod tests {
         assert_eq!(FieldValue::from("a\"b").to_json_fragment(), "\"a\\\"b\"");
         assert_eq!(FieldValue::from(2.5).to_json_fragment(), "2.5");
         assert_eq!(FieldValue::F64(f64::INFINITY).to_json_fragment(), "\"inf\"");
-    }
-
-    #[test]
-    fn fanout_delivers_to_every_sink() {
-        let a = Arc::new(RingBufferSink::new(8));
-        let b = Arc::new(RingBufferSink::new(8));
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.record(SpanRecord {
-            name: "x".into(),
-            start_seconds: 0.0,
-            duration_seconds: 1.0,
-            fields: vec![],
-        });
-        assert_eq!(a.records().len(), 1);
-        assert_eq!(b.records().len(), 1);
     }
 }

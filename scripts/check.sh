@@ -42,6 +42,29 @@ for manifest in crates/*/Cargo.toml; do
     done
 done
 
+echo "==> every [dependencies] entry in crates/* is used by that crate"
+# A dependency no source file names still compiles into every build of the
+# crate and hides the real dependency graph. Entries are matched by their
+# Rust identifier (dashes become underscores) in src/, tests/, benches/ and
+# examples/.
+for manifest in crates/*/Cargo.toml; do
+    crate_dir=$(dirname "$manifest")
+    deps=$(awk '/^\[dependencies\]/ { in_deps = 1; next }
+               /^\[/ { in_deps = 0 }
+               in_deps && match($0, /^[A-Za-z0-9_-]+/) { print substr($0, 1, RLENGTH) }' "$manifest")
+    dirs=()
+    for sub in src tests benches examples; do
+        if [ -d "$crate_dir/$sub" ]; then dirs+=("$crate_dir/$sub"); fi
+    done
+    for dep in $deps; do
+        ident=${dep//-/_}
+        if ! grep -rqw --include='*.rs' "$ident" "${dirs[@]}"; then
+            echo "$crate_dir depends on '$dep', which none of its sources use" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
 

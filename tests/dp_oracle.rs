@@ -332,17 +332,9 @@ fn brute_force(inst: &Instance) -> Option<f64> {
         for (plane, &rc) in planes.iter().enumerate() {
             for (si, s) in inst.set.iter().enumerate() {
                 let di = plane * n_strats + si;
-                let c = est
-                    .layer_cost_with_recompute(layer, model.dtype, s, micro, 0, rc)
-                    .unwrap();
-                cost[li][di] = c.total_with_micro_batches(est.config(), inst.micro_batches);
-                let m = est.layer_memory_with_recompute(
-                    layer,
-                    model.dtype,
-                    s,
-                    inst.act_stash_batch,
-                    rc,
-                );
+                let c = est.layer_cost(layer, model.dtype, s, micro, 0, rc).unwrap();
+                cost[li][di] = c.total(est.config(), inst.micro_batches);
+                let m = est.layer_memory(layer, model.dtype, s, inst.act_stash_batch, rc);
                 units[li][di] = m.persistent().div_ceil(inst.granularity);
                 reserve = reserve.max(m.transient);
             }

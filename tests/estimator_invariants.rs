@@ -52,8 +52,8 @@ proptest! {
         let b2 = b1 * 2;
         for layer in &spec.layers {
             for s in set.iter() {
-                let small = est.layer_memory(layer, spec.dtype, s, b1);
-                let large = est.layer_memory(layer, spec.dtype, s, b2);
+                let small = est.layer_memory(layer, spec.dtype, s, b1, false);
+                let large = est.layer_memory(layer, spec.dtype, s, b2, false);
                 prop_assert!(
                     small.persistent() <= large.persistent(),
                     "{s}: persistent {} @ {b1} > {} @ {b2}",
@@ -83,13 +83,13 @@ proptest! {
         let b2 = b1 * 2;
         for layer in &spec.layers {
             for s in set.iter() {
-                let small = est.layer_cost(layer, spec.dtype, s, b1, 0).unwrap();
-                let large = est.layer_cost(layer, spec.dtype, s, b2, 0).unwrap();
+                let small = est.layer_cost(layer, spec.dtype, s, b1, 0, false).unwrap();
+                let large = est.layer_cost(layer, spec.dtype, s, b2, 0, false).unwrap();
                 prop_assert!(
-                    small.total(est.config()) <= large.total(est.config()) + 1e-12,
+                    small.total(est.config(), 1) <= large.total(est.config(), 1) + 1e-12,
                     "{s}: cost {} @ {b1} > {} @ {b2}",
-                    small.total(est.config()),
-                    large.total(est.config())
+                    small.total(est.config(), 1),
+                    large.total(est.config(), 1)
                 );
             }
         }

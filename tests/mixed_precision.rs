@@ -30,10 +30,10 @@ fn halving_precision_halves_activations_and_comm() {
     let strategy = IntraStageStrategy::pure(Paradigm::Data, 8).unwrap();
     let layer32 = &fp32.layers[5];
     let c32 = est
-        .layer_cost(layer32, fp32.dtype, &strategy, 8, 0)
+        .layer_cost(layer32, fp32.dtype, &strategy, 8, 0, false)
         .unwrap();
     let c16 = est
-        .layer_cost(&fp16.layers[5], fp16.dtype, &strategy, 8, 0)
+        .layer_cost(&fp16.layers[5], fp16.dtype, &strategy, 8, 0, false)
         .unwrap();
     let ratio = c16.dp_allreduce / c32.dp_allreduce;
     assert!((ratio - 0.5).abs() < 0.05, "comm ratio {ratio:.3}");

@@ -192,9 +192,10 @@ fn planner_metrics_match_stats_and_explainer_matches_estimator() {
                     strategy,
                     micro_u64,
                     stage.device_base,
+                    false,
                 )
                 .expect("layer cost prices");
-            let expected = cost.total_with_micro_batches(estimator.config(), m);
+            let expected = cost.total(estimator.config(), m);
             assert!(
                 (layer_ex.total_seconds - expected).abs() <= 1e-9,
                 "layer {} explain {} vs estimator {}",
@@ -207,6 +208,7 @@ fn planner_metrics_match_stats_and_explainer_matches_estimator() {
                 model.dtype,
                 strategy,
                 act_stash,
+                false,
             );
             assert_eq!(layer_ex.persistent_bytes, mem.persistent());
         }

@@ -65,16 +65,13 @@ fn estimator_and_simulator_agree_on_recompute() {
     let model = PaperModel::VitHuge32.spec();
     let plan = dp8_plan(&model, 32);
 
-    let est_cfg = EstimatorConfig {
-        recompute_activations: true,
-        ..EstimatorConfig::default()
-    };
-    let est = CostEstimator::new(topo.clone(), est_cfg)
+    let plan = recompute_everything(&plan);
+    let est = CostEstimator::with_defaults(topo.clone())
         .plan_cost(&model, &plan)
         .unwrap();
 
     let sim = Simulator::new(topo, SimulatorConfig::default())
-        .execute(&model, &recompute_everything(&plan))
+        .execute(&model, &plan)
         .unwrap();
 
     let time_err = (est.iteration_time / sim.iteration_time - 1.0).abs();
@@ -86,7 +83,8 @@ fn estimator_and_simulator_agree_on_recompute() {
 #[test]
 fn recompute_unlocks_infeasible_budgets() {
     // BERT-Huge-48 cannot train under 6 GiB/device without recomputation;
-    // with it, the planner finds a plan and the simulator confirms it fits.
+    // with every layer recomputing, the planner finds a plan that carries
+    // the decisions and the simulator confirms it fits.
     let topo = TestbedPreset::RtxTitan8.topology();
     let model = PaperModel::BertHuge48.spec();
     let budget = 6 * GIB;
@@ -103,12 +101,12 @@ fn recompute_unlocks_infeasible_budgets() {
     );
 
     let est_cfg = EstimatorConfig {
-        recompute_activations: true,
         include_boundary_comm: true,
         ..EstimatorConfig::default()
     };
     let with = GalvatronOptimizer::new(OptimizerConfig {
         estimator: est_cfg,
+        recompute: RecomputeMode::On,
         max_batch: 32,
         ..OptimizerConfig::default()
     })
@@ -116,8 +114,12 @@ fn recompute_unlocks_infeasible_budgets() {
     .unwrap()
     .expect("recompute makes 6 GiB feasible");
 
+    for stage in &with.plan.stages {
+        assert_eq!(stage.layer_recompute, vec![true; stage.n_layers()]);
+    }
+
     let report = Simulator::new(topo, SimulatorConfig::default().with_budget(budget))
-        .execute(&model, &recompute_everything(&with.plan))
+        .execute(&model, &with.plan)
         .unwrap();
     assert!(!report.oom);
     assert!(report.throughput > 0.0);
