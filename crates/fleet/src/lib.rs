@@ -14,15 +14,21 @@
 //!   `(model JSON, topology fingerprint, budget)` with FNV-1a hashing,
 //!   deterministic across processes; adding a replica to an N-replica
 //!   ring remaps ~1/(N+1) of the keyspace.
-//! * [`replica`] — the plan server: waiter-table single-flight,
-//!   bounded-queue workers with deterministic shedding, graceful drain,
-//!   warm restarts from a persisted cache, and the peer protocol
-//!   (gossip push of fresh answers to ring successors, snapshot export
-//!   for joiners).
+//! * [`replica`] — the plan server: waiter-table single-flight, the
+//!   response cache with warm restarts from disk, the planner, and the
+//!   peer protocol (gossip push of fresh answers to ring successors,
+//!   snapshot export for joiners).
 //! * [`router`] — the front-end that owns no cache: it relays raw request
 //!   and response lines between clients and key owners, marks replicas
-//!   dead on forward failure and retries along the ring, and answers
-//!   `FleetCheck` by asking every replica and comparing answer bytes.
+//!   dead on forward failure and retries along the ring, answers
+//!   `FleetCheck` by asking every replica and comparing answer bytes, and
+//!   federates `/metrics` and `/trace/slow` under a per-replica timeout.
+//!
+//! Both roles run on one private serving core (`serving.rs`): the parse
+//! → `BadRequest` prelude, the inline control verbs, the HTTP routes, the
+//! bounded queue with deterministic shedding, the consumer loop, the
+//! graceful drain, the per-request trace state and the pooled peer call
+//! exist once, and each role adds only its own verbs and jobs.
 //!
 //! The division of labor with `galvatron-serve` is deliberate: serve owns
 //! the protocol, cache and stable-bytes contract; fleet owns placement,
@@ -55,6 +61,7 @@ pub mod event;
 pub mod replica;
 pub mod ring;
 pub mod router;
+mod serving;
 
 pub use event::{spawn_event_loop, EventLoopConfig, EventLoopHandle, LineHandler, ResponseSlot};
 pub use replica::{FleetReplica, ReplicaConfig, ReplicaHandle};

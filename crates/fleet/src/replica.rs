@@ -2,7 +2,7 @@
 //! `galvatron-served` daemon (a fleet of one, with no peers and no gossip).
 //!
 //! ```text
-//! event loop ── parse line → inline answers (ping/metrics/stats/...)
+//! serving core ── parse, control verbs, /metrics /healthz /trace/slow
 //!     │  plan: validate → cache → waiter table → bounded queue
 //!     │                     hit ⇒ answer   │ follower ⇒ park │ full ⇒ shed
 //!     ▼                                    ▼                 ▼
@@ -12,9 +12,16 @@
 //!                              cache.insert (+ gossip to ring successors)
 //! ```
 //!
-//! The connection layer is the [`event`](crate::event) loop, so one
-//! replica fronts thousands of mostly-idle connections without a thread
-//! each. Admission never blocks that loop: each plan request records a
+//! The replica is one role on the fleet's serving core (`serving.rs`),
+//! which owns everything it shares with the router: the
+//! [`event`](crate::event) loop and its parse → `BadRequest` prelude, the
+//! inline control verbs (`Ping`, `Stats`, `Metrics`, `MetricsPull`,
+//! `SlowTracePull`), the HTTP endpoints, the worker loop over the bounded
+//! queue and the graceful drain. What is left here is the replica's own
+//! business: the response cache, single-flight, the planner and the peer
+//! protocol.
+//!
+//! Admission never blocks the event loop: each plan request records a
 //! **waiter** (`ResponseSlot` + envelope fields) and the worker that
 //! finishes the computation fills every waiter's slot. Single-flight falls
 //! out of the waiter table — the first waiter for a key enqueues the job,
@@ -27,9 +34,8 @@
 //!
 //! Every stage is measured through [`galvatron-obs`](galvatron_obs)
 //! (`serve_*` metrics with an `instance` label, a span tree per traced
-//! request, the `/trace/slow` ring), and `GET /metrics` / `GET /healthz`
-//! answer on the serving port. With `persist_path` set, the response cache
-//! is loaded at start and written back at shutdown (warm restarts).
+//! request, the `/trace/slow` ring). With `persist_path` set, the response
+//! cache is loaded at start and written back at shutdown (warm restarts).
 //!
 //! On top of serving, a replica participates in the fleet's cache fabric:
 //!
@@ -41,34 +47,27 @@
 //!   cache entries (`SnapshotPull`) before taking traffic, replacing cold
 //!   DP runs with imports.
 
-use crate::event::{spawn_event_loop, EventLoopConfig, EventLoopHandle, LineHandler, ResponseSlot};
+use crate::event::ResponseSlot;
 use crate::ring::{plan_key_hash, HashRing};
+use crate::serving::{call_pooled, fill, Arrival, Core, Pool, RequestTrace, Role, Server};
 use galvatron_obs::trace::{
-    link_fields, PHASE_CACHE_LOOKUP, PHASE_DP_COMPUTE, PHASE_FLIGHT_WAIT, PHASE_QUEUE_WAIT,
-    PHASE_SERIALIZE,
+    PHASE_CACHE_LOOKUP, PHASE_DP_COMPUTE, PHASE_FLIGHT_WAIT, PHASE_QUEUE_WAIT, PHASE_SERIALIZE,
 };
-use galvatron_obs::{
-    AttributionRecord, Obs, SlowRing, SlowTraceEntry, SpanLink, TraceContext, TraceScope,
-};
+use galvatron_obs::{AttributionRecord, Obs, SlowTraceEntry, TraceContext, TraceScope};
 use galvatron_planner::{PlanRequest, PlanService, PlannerConfig};
 use galvatron_serve::{
-    BoundedQueue, CacheEntry, ErrorCode, PlanBody, PlanClient, PlanKey, PushError, RequestBody,
-    ResponseCache, ServeError, ServeStats, WireRequest, WireResponse, WireResult, WireTraceContext,
-    PROTOCOL_VERSION,
+    CacheEntry, ErrorCode, PlanBody, PlanClient, PlanKey, RequestBody, ResponseCache, ServeStats,
+    WireRequest, WireResponse, WireResult, WireTraceContext,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const TICK: Duration = Duration::from_millis(100);
-const RETRY_AFTER_MS: u64 = 50;
-/// K-slowest traced requests kept for `/trace/slow`.
-const SLOW_RING_CAPACITY: usize = 32;
 /// How long a fresh answer waits before it is gossiped. A push costs a
 /// serialization here and a parse on the peer; waiting lets the answer
 /// reach its own client first instead of competing with its replication
@@ -121,32 +120,15 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// Per-waiter trace state: everything needed to attribute the waiter's
-/// latency once the flight it parked on resolves.
-struct WaiterTrace {
-    /// The client's trace position (the parent of this replica's
-    /// `serve_request` span).
-    client: TraceContext,
-    /// This replica's `serve_request` context for the waiter.
-    server: TraceContext,
-    /// Whether the client opted in to an [`AttributionRecord`] on the
-    /// response envelope.
-    want_attribution: bool,
-    /// When the request line was admitted.
-    arrival: Instant,
-    /// `arrival` on the obs epoch clock (span-record time base).
-    arrival_epoch: f64,
-    /// Wall seconds the response-cache probe took.
-    cache_lookup_seconds: f64,
-}
-
 /// One request waiting for a computation to finish.
 struct Waiter {
     id: u64,
     name: String,
     coalesced: bool,
     slot: ResponseSlot,
-    trace: Option<WaiterTrace>,
+    trace: Option<RequestTrace>,
+    /// Wall seconds the response-cache probe took.
+    cache_lookup_seconds: f64,
 }
 
 /// One queued computation.
@@ -181,8 +163,8 @@ struct PeerTable {
 type GossipItem = (CacheEntry, Option<TraceContext>, Instant);
 
 struct Shared {
+    core: Core<Job>,
     id: usize,
-    instance: String,
     /// The optimizer config's Debug form: gates persisted snapshots. Only
     /// the optimizer config can change an answer; the planner's worker
     /// count and pruning switch cannot, so restarting with a different
@@ -191,101 +173,298 @@ struct Shared {
     service: PlanService,
     cache: ResponseCache,
     waiters: Mutex<HashMap<PlanKey, Vec<Waiter>>>,
-    queue: BoundedQueue<Job>,
     peers: Mutex<PeerTable>,
     gossip_tx: Mutex<Option<mpsc::Sender<GossipItem>>>,
-    obs: Obs,
-    slow: SlowRing,
-    stop: AtomicBool,
-    requests: AtomicU64,
     coalesced: AtomicU64,
-    shed: AtomicU64,
     computed: AtomicU64,
     panics: AtomicU64,
     gossip_sent: AtomicU64,
     gossip_accepted: AtomicU64,
     warm_join_imported: AtomicU64,
-    /// Live-connection count, wired up from the event loop after spawn.
-    connections: OnceLock<Arc<std::sync::atomic::AtomicUsize>>,
 }
 
-impl Shared {
+impl Role for Shared {
+    type Job = Job;
+    type Worker = ();
+    const NAME: &'static str = "replica";
+    const QUEUE: &'static str = "request queue";
+
+    fn core(&self) -> &Core<Job> {
+        &self.core
+    }
+
     fn stats(&self) -> ServeStats {
         let cache = self.cache.stats();
         ServeStats {
-            queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
-            paused: self.queue.is_paused(),
             cache_entries: cache.entries,
             cache_bytes: cache.bytes,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             coalesced: self.coalesced.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
             computed: self.computed.load(Ordering::SeqCst),
-            requests: self.requests.load(Ordering::SeqCst),
+            ..self.core.stats()
         }
     }
 
-    /// Push the internal tallies into the metrics registry (counters only
-    /// move forward, so each is topped up to its cumulative count). Every
-    /// series carries the `instance` label, so one Prometheus dashboard
-    /// covers a daemon and every replica of a fleet.
+    /// Every series carries the `instance` label, so one Prometheus
+    /// dashboard covers a daemon and every replica of a fleet.
     fn refresh_metrics(&self) {
-        let registry = self.obs.registry();
-        let labels = [("instance", self.instance.as_str())];
         let stats = self.stats();
-        registry
-            .gauge_with("serve_queue_depth", &labels)
-            .set(stats.queue_depth as f64);
-        registry
-            .gauge_with("serve_cache_entries", &labels)
-            .set(stats.cache_entries as f64);
-        registry
-            .gauge_with("serve_cache_bytes", &labels)
-            .set(stats.cache_bytes as f64);
-        if let Some(connections) = self.connections.get() {
-            registry
-                .gauge_with("fleet_connections", &labels)
-                .set(connections.load(Ordering::SeqCst) as f64);
-        }
-        for (name, total) in [
-            ("serve_requests_total", stats.requests),
-            ("serve_coalesced_total", stats.coalesced),
-            ("serve_shed_total", stats.shed),
-            ("serve_computed_total", stats.computed),
-            ("serve_cache_hits_total", stats.cache_hits),
-            ("serve_cache_misses_total", stats.cache_misses),
-            ("serve_cache_evictions_total", stats.cache_evictions),
-            (
-                "serve_planner_panics_total",
-                self.panics.load(Ordering::SeqCst),
+        let gauges = [
+            ("serve_queue_depth", stats.queue_depth as f64),
+            ("serve_cache_entries", stats.cache_entries as f64),
+            ("serve_cache_bytes", stats.cache_bytes as f64),
+            ("fleet_connections", self.core.connections() as f64),
+        ];
+        let load = |tally: &AtomicU64| tally.load(Ordering::SeqCst);
+        self.core.publish(
+            &gauges,
+            &[
+                ("serve_requests_total", stats.requests),
+                ("serve_coalesced_total", stats.coalesced),
+                ("serve_shed_total", stats.shed),
+                ("serve_computed_total", stats.computed),
+                ("serve_cache_hits_total", stats.cache_hits),
+                ("serve_cache_misses_total", stats.cache_misses),
+                ("serve_cache_evictions_total", stats.cache_evictions),
+                ("serve_planner_panics_total", load(&self.panics)),
+                ("fleet_gossip_sent_total", load(&self.gossip_sent)),
+                ("serve_gossip_accepted_total", load(&self.gossip_accepted)),
+                (
+                    "fleet_warm_join_imported_total",
+                    load(&self.warm_join_imported),
+                ),
+            ],
+        );
+    }
+
+    fn handle(&self, request: WireRequest, _line: &str, _arrival: Arrival, slot: ResponseSlot) {
+        // The replica's serve_request span starts once the line is parsed.
+        let trace = RequestTrace::start(&request, "serve_request", Arrival::now(&self.core.obs));
+        let WireRequest { id, name, body, .. } = request;
+        let result = match body {
+            RequestBody::Plan(body) => return self.handle_plan(body, id, name, trace, slot),
+            RequestBody::SnapshotPull { max_entries } => {
+                let started = Arrival::now(&self.core.obs);
+                let entries: Vec<CacheEntry> = self
+                    .cache
+                    .export_recent(max_entries)
+                    .into_iter()
+                    .map(|(key, result)| CacheEntry { key, result })
+                    .collect();
+                // A traced pull (warm-join) gets a `snapshot_serve` span
+                // parented under the puller's `snapshot_pull` context, so
+                // cache warming shows up in the joiner's trace tree.
+                if let Some(trace) = &trace {
+                    self.core.obs.record_child_span(
+                        trace.client,
+                        "snapshot_serve",
+                        0,
+                        started.epoch,
+                        started.at.elapsed().as_secs_f64(),
+                        &[
+                            ("instance", self.core.instance.clone().into()),
+                            ("entries", (entries.len() as u64).into()),
+                        ],
+                    );
+                }
+                WireResult::Snapshot(entries)
+            }
+            RequestBody::GossipPush { entries } => {
+                let started = Arrival::now(&self.core.obs);
+                let accepted = self.cache.import(
+                    entries
+                        .into_iter()
+                        .map(|entry| (entry.key, entry.result))
+                        .collect(),
+                ) as u64;
+                self.gossip_accepted.fetch_add(accepted, Ordering::SeqCst);
+                // A traced push gets a `gossip_receive` span parented
+                // under the sender's `gossip_push` context, so the warm
+                // fan-out shows up in the originating request's tree.
+                if let Some(trace) = &trace {
+                    self.core.obs.record_child_span(
+                        trace.client,
+                        "gossip_receive",
+                        0,
+                        started.epoch,
+                        started.at.elapsed().as_secs_f64(),
+                        &[
+                            ("instance", self.core.instance.clone().into()),
+                            ("accepted", accepted.into()),
+                        ],
+                    );
+                }
+                WireResult::Ack(accepted)
+            }
+            _ => WireResult::error(
+                ErrorCode::BadRequest,
+                "FleetCheck requires a fleet router; this is a replica",
             ),
-            (
-                "fleet_gossip_sent_total",
-                self.gossip_sent.load(Ordering::SeqCst),
+        };
+        fill(&slot, &WireResponse::direct(id, name, result));
+    }
+
+    /// Pop, compute once, publish to cache + waiters + gossip.
+    fn run(&self, _worker: &mut (), job: Job) {
+        let queue_wait_seconds = job.enqueued.elapsed().as_secs_f64();
+        let (result, timing) = match self.cache.get(&job.key) {
+            Some(result) => (
+                result,
+                FlightTiming {
+                    queue_wait_seconds,
+                    ..FlightTiming::default()
+                },
             ),
-            (
-                "serve_gossip_accepted_total",
-                self.gossip_accepted.load(Ordering::SeqCst),
-            ),
-            (
-                "fleet_warm_join_imported_total",
-                self.warm_join_imported.load(Ordering::SeqCst),
-            ),
-        ] {
-            let counter = registry.counter_with(name, &labels);
-            counter.inc_by(total.saturating_sub(counter.get()));
+            None => {
+                // The dp_compute span parents under the leader's
+                // serve_request context; the planner's own spans (opened
+                // on this thread) parent under dp_compute in turn.
+                let leader_scope = job.trace.map(TraceScope::enter);
+                let compute_span = self.core.obs.span("dp_compute");
+                let compute_ctx = compute_span.trace_context();
+                let compute_started = Instant::now();
+                let (result, cacheable) = {
+                    let _compute_scope = compute_ctx.map(TraceScope::enter);
+                    self.compute(&job)
+                };
+                let compute_seconds = compute_started.elapsed().as_secs_f64();
+                compute_span.finish();
+                drop(leader_scope);
+                if cacheable {
+                    self.cache.insert(job.key.clone(), result.clone());
+                    self.offer_gossip(&job.key, &result, job.trace);
+                }
+                (
+                    result,
+                    FlightTiming {
+                        queue_wait_seconds,
+                        compute_seconds,
+                        compute_span_id: compute_ctx.map(|c| c.span_id.to_hex()),
+                    },
+                )
+            }
+        };
+        self.resolve_waiters(&job.key, &result, Some(&timing));
+        self.refresh_metrics();
+    }
+
+    fn refuse(&self, job: Job) {
+        self.resolve_waiters(&job.key, &self.shutting_down(), None);
+    }
+
+    /// Belt and braces: resolve every waiter still registered, so no slot
+    /// is left unfilled when the event loop drains.
+    fn refuse_stragglers(&self) {
+        let keys: Vec<PlanKey> = self.waiters.lock().unwrap().keys().cloned().collect();
+        for key in keys {
+            self.resolve_waiters(&key, &self.shutting_down(), None);
         }
     }
 
-    fn shutting_down(&self) -> WireResult {
-        WireResult::Error(ServeError {
-            code: ErrorCode::ShuttingDown,
-            message: "replica is shutting down".to_string(),
-            retry_after_ms: Some(RETRY_AFTER_MS),
-        })
+    fn metrics_text(&self) -> String {
+        self.refresh_metrics();
+        self.core.obs.registry().snapshot().to_prometheus()
+    }
+
+    fn slow_traces(&self) -> Vec<SlowTraceEntry> {
+        self.core.slow.drain()
+    }
+
+    fn health(&self) -> (bool, String) {
+        let (ring_members, peers_known, vnodes) = {
+            let peers = self.peers.lock().unwrap();
+            (
+                peers.ring.len(),
+                peers.addrs.len(),
+                peers.ring.vnodes_per_member(),
+            )
+        };
+        let draining = self.core.stopping();
+        let status = if draining { "draining" } else { "ok" };
+        let body = format!(
+            "{{\"status\":\"{status}\",\"instance\":\"{}\",\"ring_members\":{ring_members},\
+             \"peers\":{peers_known},\"vnodes\":{vnodes}}}\n",
+            self.core.instance
+        );
+        (!draining, body)
+    }
+}
+
+impl Shared {
+    /// The plan path: validate → cache → waiter list (coalesce or lead) →
+    /// queue (or shed). Never blocks — the event loop is calling.
+    fn handle_plan(
+        &self,
+        body: PlanBody,
+        id: u64,
+        name: String,
+        trace: Option<RequestTrace>,
+        slot: ResponseSlot,
+    ) {
+        let reply = |result| fill(&slot, &WireResponse::direct(id, name.clone(), result));
+        if self.core.stopping() {
+            return reply(self.shutting_down());
+        }
+        if let Err(e) = body.topology.validate() {
+            let message = format!("invalid topology: {e}");
+            return reply(WireResult::error(ErrorCode::InvalidTopology, message));
+        }
+        let key = PlanKey::of(&body);
+        let lookup_started = Instant::now();
+        let cached_result = self.cache.get(&key);
+        let cache_lookup_seconds = lookup_started.elapsed().as_secs_f64();
+        if let Some(result) = cached_result {
+            let attribution = trace.as_ref().and_then(|t| {
+                let attr = self.attribute(t, cache_lookup_seconds, false, None, &result);
+                t.want_attribution.then_some(attr)
+            });
+            let response = WireResponse {
+                cached: true,
+                attribution,
+                ..WireResponse::direct(id, name, result)
+            };
+            return fill(&slot, &response);
+        }
+        // The leader's serve_request context becomes the job's trace: the
+        // worker's dp_compute span (and the planner spans under it)
+        // parent there, while coalesced followers link in via
+        // `compute_span_id`.
+        let job_trace = trace.as_ref().map(|t| t.server);
+        // Single flight via the waiter table: the first waiter for a key is
+        // the leader and enqueues; later arrivals coalesce by appending.
+        let is_leader = {
+            let mut waiters = self.waiters.lock().unwrap();
+            let list = waiters.entry(key.clone()).or_default();
+            let coalesced = !list.is_empty();
+            if coalesced {
+                self.coalesced.fetch_add(1, Ordering::SeqCst);
+            }
+            list.push(Waiter {
+                id,
+                name: name.clone(),
+                coalesced,
+                slot,
+                trace,
+                cache_lookup_seconds,
+            });
+            !coalesced
+        };
+        if !is_leader {
+            return;
+        }
+        let job = Job {
+            key: key.clone(),
+            body,
+            name,
+            trace: job_trace,
+            enqueued: Instant::now(),
+        };
+        if let Err(refusal) = self.admit(job) {
+            // Refuses the leader and anyone who coalesced meanwhile.
+            self.resolve_waiters(&key, &refusal, None);
+        }
     }
 
     /// Fill every waiter registered for `key` with `result` and drop the
@@ -296,20 +475,21 @@ impl Shared {
         let waiters = self.waiters.lock().unwrap().remove(key);
         for waiter in waiters.into_iter().flatten() {
             let attribution = waiter.trace.as_ref().and_then(|trace| {
-                let attr = self.attribute(trace, waiter.coalesced, timing, result);
+                let attr = self.attribute(
+                    trace,
+                    waiter.cache_lookup_seconds,
+                    waiter.coalesced,
+                    timing,
+                    result,
+                );
                 trace.want_attribution.then_some(attr)
             });
-            fill(
-                &waiter.slot,
-                WireResponse {
-                    id: waiter.id,
-                    name: waiter.name,
-                    cached: false,
-                    coalesced: waiter.coalesced,
-                    attribution,
-                    result: result.clone(),
-                },
-            );
+            let response = WireResponse {
+                coalesced: waiter.coalesced,
+                attribution,
+                ..WireResponse::direct(waiter.id, waiter.name, result.clone())
+            };
+            fill(&waiter.slot, &response);
         }
     }
 
@@ -322,15 +502,17 @@ impl Shared {
     /// (up to the negative-residual clamp).
     fn attribute(
         &self,
-        trace: &WaiterTrace,
+        trace: &RequestTrace,
+        cache_lookup_seconds: f64,
         coalesced: bool,
         timing: Option<&FlightTiming>,
         result: &WireResult,
     ) -> AttributionRecord {
+        let instance = self.core.instance.as_str();
         let mut attr = AttributionRecord::new(
             &trace.server.trace_id.to_hex(),
             &trace.server.span_id.to_hex(),
-            &self.instance,
+            instance,
         );
         let (queue_wait, compute) = match timing {
             Some(t) if !coalesced => (t.queue_wait_seconds, t.compute_seconds),
@@ -340,47 +522,81 @@ impl Shared {
         let serialize_started = Instant::now();
         let _ = serde_json::to_string(result);
         let serialize = serialize_started.elapsed().as_secs_f64();
-        let total = trace.arrival.elapsed().as_secs_f64();
-        let flight_wait = total - trace.cache_lookup_seconds - queue_wait - compute - serialize;
-        attr.push_phase(PHASE_CACHE_LOOKUP, trace.cache_lookup_seconds);
+        let total = trace.arrival.at.elapsed().as_secs_f64();
+        let flight_wait = total - cache_lookup_seconds - queue_wait - compute - serialize;
+        attr.push_phase(PHASE_CACHE_LOOKUP, cache_lookup_seconds);
         attr.push_phase(PHASE_QUEUE_WAIT, queue_wait);
         attr.push_phase(PHASE_FLIGHT_WAIT, flight_wait);
         attr.push_phase(PHASE_DP_COMPUTE, compute);
         attr.push_phase(PHASE_SERIALIZE, serialize);
         attr.total_seconds = total;
-        let registry = self.obs.registry();
+        let registry = self.core.obs.registry();
         for phase in &attr.phases {
             registry
                 .wall_histogram_with(
                     "serve_phase_seconds",
-                    &[
-                        ("instance", self.instance.as_str()),
-                        ("phase", phase.phase.as_str()),
-                    ],
+                    &[("instance", instance), ("phase", phase.phase.as_str())],
                 )
                 .observe(phase.seconds);
         }
         let spans = attr.to_spans(
             "serve_request",
             &trace.client.span_id.to_hex(),
-            trace.arrival_epoch,
+            trace.arrival.epoch,
         );
         for span in &spans {
-            self.obs.sink().record(span.clone());
+            self.core.obs.sink().record(span.clone());
         }
-        self.slow.offer(SlowTraceEntry {
+        self.core.slow.offer(SlowTraceEntry {
             trace_id: attr.trace_id.clone(),
             name: "serve_request".to_string(),
-            instance: self.instance.clone(),
+            instance: instance.to_string(),
             total_seconds: attr.total_seconds,
             spans,
         });
         attr
     }
 
+    /// Run the plan service. Returns the stable answer and whether it is
+    /// deterministic (plans and infeasibility verdicts are; planner errors
+    /// are not and must not be cached). A panic inside the planner becomes
+    /// a `PlannerError` for this key's waiters and leaves the worker
+    /// running.
+    fn compute(&self, job: &Job) -> (WireResult, bool) {
+        self.computed.fetch_add(1, Ordering::SeqCst);
+        let request = PlanRequest {
+            name: job.name.clone(),
+            model: job.body.model.clone(),
+            topology: job.body.topology.clone(),
+            budget_bytes: job.body.budget_bytes,
+        };
+        let Ok(submitted) = catch_unwind(AssertUnwindSafe(|| self.service.submit(&request))) else {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+            let message = "planner panicked on this request";
+            return (WireResult::error(ErrorCode::PlannerError, message), false);
+        };
+        match submitted {
+            Ok(response) => match response.outcome {
+                Some(outcome) => (WireResult::Plan(outcome.into()), true),
+                None => {
+                    let message = format!(
+                        "no parallel configuration fits {} bytes per device",
+                        job.body.budget_bytes
+                    );
+                    (WireResult::error(ErrorCode::Infeasible, message), true)
+                }
+            },
+            Err(e) => {
+                let message = format!("planner error: {e}");
+                (WireResult::error(ErrorCode::PlannerError, message), false)
+            }
+        }
+    }
+
     /// Hand a freshly computed stable answer to the gossip thread
-    /// (best-effort; never blocks the worker). The leader's trace context
-    /// rides along so the push shows up in the request's span tree.
+    /// (best-effort; never blocks the worker). The leader's trace
+    /// context rides along so the push shows up in the request's span
+    /// tree.
     fn offer_gossip(&self, key: &PlanKey, result: &WireResult, trace: Option<TraceContext>) {
         if let Some(tx) = self.gossip_tx.lock().unwrap().as_ref() {
             let _ = tx.send((
@@ -395,439 +611,11 @@ impl Shared {
     }
 }
 
-/// An envelope for an answer that never waited on a computation.
-fn direct(id: u64, name: String, result: WireResult) -> WireResponse {
-    WireResponse {
-        id,
-        name,
-        cached: false,
-        coalesced: false,
-        attribution: None,
-        result,
-    }
-}
-
-/// An error answer without a retry hint.
-fn no_retry(code: ErrorCode, message: String) -> WireResult {
-    WireResult::Error(ServeError {
-        code,
-        message,
-        retry_after_ms: None,
-    })
-}
-
-fn fill(slot: &ResponseSlot, response: WireResponse) {
-    match serde_json::to_string(&response) {
-        Ok(line) => slot.fill(line),
-        // Unserializable responses cannot happen for our own types; emit
-        // a hand-built error rather than leaving the slot hanging.
-        Err(_) => slot.fill(
-            "{\"id\":0,\"name\":\"\",\"result\":{\"Error\":{\"code\":\"PlannerError\",\
-             \"message\":\"response serialization failed\",\"retry_after_ms\":null}}}"
-                .to_string(),
-        ),
-    }
-}
-
-struct ReplicaHandler {
-    shared: Arc<Shared>,
-}
-
-impl LineHandler for ReplicaHandler {
-    fn on_line(&self, line: &str, slot: ResponseSlot) {
-        let shared = &self.shared;
-        shared.requests.fetch_add(1, Ordering::SeqCst);
-        let request: WireRequest = match serde_json::from_str(line) {
-            Ok(request) => request,
-            Err(e) => {
-                let message = format!("unparseable request line: {e}");
-                return fill(
-                    &slot,
-                    direct(0, String::new(), no_retry(ErrorCode::BadRequest, message)),
-                );
-            }
-        };
-        let (id, name) = (request.id, request.name.clone());
-        // Malformed hex degrades to an untraced request rather than an
-        // error: tracing must never break serving.
-        let trace = request
-            .trace
-            .as_ref()
-            .and_then(|wire| wire.context().map(|ctx| (ctx, wire.attribution)));
-        let inline = |result: WireResult| fill(&slot, direct(id, name.clone(), result));
-        match request.body {
-            RequestBody::Ping => inline(WireResult::Pong(PROTOCOL_VERSION)),
-            RequestBody::Stats => inline(WireResult::Stats(shared.stats())),
-            RequestBody::Metrics => {
-                shared.refresh_metrics();
-                inline(WireResult::Metrics(
-                    shared.obs.registry().snapshot().to_prometheus(),
-                ));
-            }
-            RequestBody::MetricsPull => {
-                shared.refresh_metrics();
-                inline(WireResult::MetricsState(shared.obs.registry().snapshot()));
-            }
-            RequestBody::SlowTracePull => inline(WireResult::SlowTraces(shared.slow.drain())),
-            RequestBody::SnapshotPull { max_entries } => {
-                let serve_started = Instant::now();
-                let serve_epoch = shared.obs.now_seconds();
-                let entries: Vec<CacheEntry> = shared
-                    .cache
-                    .export_recent(max_entries)
-                    .into_iter()
-                    .map(|(key, result)| CacheEntry { key, result })
-                    .collect();
-                // A traced pull (warm-join) gets a `snapshot_serve` span
-                // parented under the puller's `snapshot_pull` context, so
-                // cache warming shows up in the joiner's trace tree.
-                if let Some((ctx, _)) = trace {
-                    let child = ctx.child("snapshot_serve", 0);
-                    let mut fields = link_fields(&SpanLink {
-                        trace_id: ctx.trace_id,
-                        span_id: child.span_id,
-                        parent_span_id: ctx.span_id,
-                    });
-                    fields.push(("instance".to_string(), shared.instance.clone().into()));
-                    fields.push(("entries".to_string(), (entries.len() as u64).into()));
-                    shared.obs.record_span(
-                        "snapshot_serve",
-                        serve_epoch,
-                        serve_started.elapsed().as_secs_f64(),
-                        fields,
-                    );
-                }
-                inline(WireResult::Snapshot(entries));
-            }
-            RequestBody::GossipPush { entries } => {
-                let receive_started = Instant::now();
-                let receive_epoch = shared.obs.now_seconds();
-                let accepted = shared.cache.import(
-                    entries
-                        .into_iter()
-                        .map(|entry| (entry.key, entry.result))
-                        .collect(),
-                );
-                shared
-                    .gossip_accepted
-                    .fetch_add(accepted as u64, Ordering::SeqCst);
-                // A traced push gets a `gossip_receive` span parented
-                // under the sender's `gossip_push` context, so the warm
-                // fan-out shows up in the originating request's tree.
-                if let Some((ctx, _)) = trace {
-                    let child = ctx.child("gossip_receive", 0);
-                    let mut fields = link_fields(&SpanLink {
-                        trace_id: ctx.trace_id,
-                        span_id: child.span_id,
-                        parent_span_id: ctx.span_id,
-                    });
-                    fields.push(("instance".to_string(), shared.instance.clone().into()));
-                    fields.push(("accepted".to_string(), (accepted as u64).into()));
-                    shared.obs.record_span(
-                        "gossip_receive",
-                        receive_epoch,
-                        receive_started.elapsed().as_secs_f64(),
-                        fields,
-                    );
-                }
-                inline(WireResult::Ack(accepted as u64));
-            }
-            RequestBody::FleetCheck(_) => inline(no_retry(
-                ErrorCode::BadRequest,
-                "FleetCheck requires a fleet router; this is a replica".to_string(),
-            )),
-            RequestBody::Plan(body) => handle_plan(shared, body, id, name, trace, slot),
-        }
-    }
-
-    fn on_http_get(&self, path: &str) -> (String, String, String) {
-        let shared = &self.shared;
-        match path {
-            "/metrics" => {
-                shared.refresh_metrics();
-                (
-                    "200 OK".to_string(),
-                    "text/plain; version=0.0.4".to_string(),
-                    shared.obs.registry().snapshot().to_prometheus(),
-                )
-            }
-            "/healthz" | "/health" => {
-                let (ring_members, peers_known, vnodes) = {
-                    let peers = shared.peers.lock().unwrap();
-                    (
-                        peers.ring.len(),
-                        peers.addrs.len(),
-                        peers.ring.vnodes_per_member(),
-                    )
-                };
-                let draining = shared.stop.load(Ordering::SeqCst);
-                let status = if draining { "draining" } else { "ok" };
-                let body = format!(
-                    "{{\"status\":\"{status}\",\"instance\":\"{}\",\"ring_members\":{ring_members},\
-                     \"peers\":{peers_known},\"vnodes\":{vnodes}}}\n",
-                    shared.instance
-                );
-                let code = if draining {
-                    "503 Service Unavailable"
-                } else {
-                    "200 OK"
-                };
-                (code.to_string(), "application/json".to_string(), body)
-            }
-            "/trace/slow" => {
-                let entries = shared.slow.drain();
-                let body = serde_json::to_string(&entries).unwrap_or_else(|_| "[]".to_string());
-                (
-                    "200 OK".to_string(),
-                    "application/json".to_string(),
-                    format!("{body}\n"),
-                )
-            }
-            _ => (
-                "404 Not Found".to_string(),
-                "text/plain".to_string(),
-                format!("unknown path {path}; try /metrics, /healthz or /trace/slow\n"),
-            ),
-        }
-    }
-}
-
-/// The plan path: validate → cache → waiter list (coalesce or lead) →
-/// queue (or shed). Never blocks — the event loop is calling.
-fn handle_plan(
-    shared: &Arc<Shared>,
-    body: PlanBody,
-    id: u64,
-    name: String,
-    trace: Option<(TraceContext, bool)>,
-    slot: ResponseSlot,
-) {
-    let arrival = Instant::now();
-    let arrival_epoch = shared.obs.now_seconds();
-    let mut wtrace = trace.map(|(client, want_attribution)| WaiterTrace {
-        client,
-        server: client.child("serve_request", 0),
-        want_attribution,
-        arrival,
-        arrival_epoch,
-        cache_lookup_seconds: 0.0,
-    });
-    let reply = |result: WireResult| fill(&slot, direct(id, name.clone(), result));
-    if shared.stop.load(Ordering::SeqCst) {
-        return reply(shared.shutting_down());
-    }
-    if let Err(e) = body.topology.validate() {
-        let message = format!("invalid topology: {e}");
-        return reply(no_retry(ErrorCode::InvalidTopology, message));
-    }
-    let Ok(model_json) = serde_json::to_string(&body.model) else {
-        let message = "model does not serialize canonically".to_string();
-        return reply(no_retry(ErrorCode::BadRequest, message));
-    };
-    let key = PlanKey {
-        model_json,
-        topology_fingerprint: body.topology.fingerprint(),
-        budget_bytes: body.budget_bytes,
-    };
-    let lookup_started = Instant::now();
-    let cached_result = shared.cache.get(&key);
-    if let Some(t) = wtrace.as_mut() {
-        t.cache_lookup_seconds = lookup_started.elapsed().as_secs_f64();
-    }
-    if let Some(result) = cached_result {
-        let attribution = wtrace.as_ref().and_then(|t| {
-            let attr = shared.attribute(t, false, None, &result);
-            t.want_attribution.then_some(attr)
-        });
-        fill(
-            &slot,
-            WireResponse {
-                id,
-                name,
-                cached: true,
-                coalesced: false,
-                attribution,
-                result,
-            },
-        );
-        return;
-    }
-    // The leader's serve_request context becomes the job's trace: the
-    // worker's dp_compute span (and the planner spans under it) parent
-    // there, while coalesced followers link in via `compute_span_id`.
-    let job_trace = wtrace.as_ref().map(|t| t.server);
-    // Single flight via the waiter table: the first waiter for a key is
-    // the leader and enqueues; later arrivals coalesce by appending.
-    let is_leader = {
-        let mut waiters = shared.waiters.lock().unwrap();
-        match waiters.get_mut(&key) {
-            Some(list) => {
-                shared.coalesced.fetch_add(1, Ordering::SeqCst);
-                list.push(Waiter {
-                    id,
-                    name: name.clone(),
-                    coalesced: true,
-                    slot,
-                    trace: wtrace,
-                });
-                false
-            }
-            None => {
-                waiters.insert(
-                    key.clone(),
-                    vec![Waiter {
-                        id,
-                        name: name.clone(),
-                        coalesced: false,
-                        slot,
-                        trace: wtrace,
-                    }],
-                );
-                true
-            }
-        }
-    };
-    if !is_leader {
-        return;
-    }
-    let job = Job {
-        key: key.clone(),
-        body,
-        name,
-        trace: job_trace,
-        enqueued: Instant::now(),
-    };
-    match shared.queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            shared.shed.fetch_add(1, Ordering::SeqCst);
-            let result = WireResult::Error(ServeError {
-                code: ErrorCode::Overloaded,
-                message: format!("request queue full (capacity {})", shared.queue.capacity()),
-                retry_after_ms: Some(RETRY_AFTER_MS),
-            });
-            // Sheds the leader and anyone who coalesced meanwhile.
-            shared.resolve_waiters(&key, &result, None);
-        }
-        Err(PushError::Closed) => {
-            let result = shared.shutting_down();
-            shared.resolve_waiters(&key, &result, None);
-        }
-    }
-}
-
-/// A worker: pop, compute once, publish to cache + waiters + gossip.
-///
-/// Drain semantics: a job popped before the stop flag rose is in flight
-/// and completes normally; jobs popped after it are answered with a
-/// retryable `ShuttingDown` — never a dropped socket, and never a
-/// minutes-long DP run between the operator and the restart.
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) && shared.queue.is_empty() {
-            return;
-        }
-        let Some(job) = shared.queue.pop(TICK) else {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        let queue_wait_seconds = job.enqueued.elapsed().as_secs_f64();
-        if shared.stop.load(Ordering::SeqCst) {
-            shared.resolve_waiters(&job.key, &shared.shutting_down(), None);
-            continue;
-        }
-        let (result, timing) = match shared.cache.get(&job.key) {
-            Some(result) => (
-                result,
-                FlightTiming {
-                    queue_wait_seconds,
-                    ..FlightTiming::default()
-                },
-            ),
-            None => {
-                // The dp_compute span parents under the leader's
-                // serve_request context; the planner's own spans (opened
-                // on this thread) parent under dp_compute in turn.
-                let leader_scope = job.trace.map(TraceScope::enter);
-                let compute_span = shared.obs.span("dp_compute");
-                let compute_ctx = compute_span.trace_context();
-                let compute_started = Instant::now();
-                let (result, cacheable) = {
-                    let _compute_scope = compute_ctx.map(TraceScope::enter);
-                    compute(shared, &job)
-                };
-                let compute_seconds = compute_started.elapsed().as_secs_f64();
-                compute_span.finish();
-                drop(leader_scope);
-                if cacheable {
-                    shared.cache.insert(job.key.clone(), result.clone());
-                    shared.offer_gossip(&job.key, &result, job.trace);
-                }
-                (
-                    result,
-                    FlightTiming {
-                        queue_wait_seconds,
-                        compute_seconds,
-                        compute_span_id: compute_ctx.map(|c| c.span_id.to_hex()),
-                    },
-                )
-            }
-        };
-        shared.resolve_waiters(&job.key, &result, Some(&timing));
-        shared.refresh_metrics();
-    }
-}
-
-/// Run the plan service. Returns the stable answer and whether it is
-/// deterministic (plans and infeasibility verdicts are; planner errors
-/// are not and must not be cached). A panic inside the planner becomes a
-/// `PlannerError` for this key's waiters and leaves the worker running.
-fn compute(shared: &Arc<Shared>, job: &Job) -> (WireResult, bool) {
-    shared.computed.fetch_add(1, Ordering::SeqCst);
-    let request = PlanRequest {
-        name: job.name.clone(),
-        model: job.body.model.clone(),
-        topology: job.body.topology.clone(),
-        budget_bytes: job.body.budget_bytes,
-    };
-    let Ok(submitted) = catch_unwind(AssertUnwindSafe(|| shared.service.submit(&request))) else {
-        shared.panics.fetch_add(1, Ordering::SeqCst);
-        return (
-            no_retry(
-                ErrorCode::PlannerError,
-                "planner panicked on this request".to_string(),
-            ),
-            false,
-        );
-    };
-    match submitted {
-        Ok(response) => match response.outcome {
-            Some(outcome) => (WireResult::Plan(outcome.into()), true),
-            None => (
-                no_retry(
-                    ErrorCode::Infeasible,
-                    format!(
-                        "no parallel configuration fits {} bytes per device",
-                        job.body.budget_bytes
-                    ),
-                ),
-                true,
-            ),
-        },
-        Err(e) => (
-            no_retry(ErrorCode::PlannerError, format!("planner error: {e}")),
-            false,
-        ),
-    }
-}
-
 /// Push gossiped entries to their ring successors. Runs on its own thread
 /// with its own peer connections; any failure just drops that push —
 /// gossip is an optimization, correctness never depends on it.
 fn gossip_loop(shared: &Arc<Shared>, rx: mpsc::Receiver<GossipItem>, fanout: usize) {
-    let mut conns: HashMap<usize, PlanClient> = HashMap::new();
+    let mut conns = Pool::new();
     for (entry, trace, offered) in rx {
         std::thread::sleep(GOSSIP_DELAY.saturating_sub(offered.elapsed()));
         let targets: Vec<(usize, SocketAddr)> = {
@@ -842,61 +630,40 @@ fn gossip_loop(shared: &Arc<Shared>, rx: mpsc::Receiver<GossipItem>, fanout: usi
                 .collect()
         };
         for (push_index, (peer_id, addr)) in targets.into_iter().enumerate() {
-            let mut pushed = false;
-            // One retry on a fresh connection: the cached one may have
-            // died with a peer restart.
-            for _attempt in 0..2 {
-                let client = match conns.entry(peer_id) {
-                    std::collections::hash_map::Entry::Occupied(entry) => entry.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        match PlanClient::connect(addr) {
-                            Ok(client) => entry.insert(client),
-                            Err(_) => break,
-                        }
-                    }
-                };
+            let push_index = push_index as u64;
+            let pushed = call_pooled(&mut conns, peer_id, addr, |client| {
                 // Propagate the originating request's trace on the push:
                 // the receiver's gossip_receive span parents under this
                 // gossip_push context.
-                let push_ctx = trace.map(|ctx| ctx.child("gossip_push", push_index as u64));
-                if let Some(ctx) = push_ctx {
-                    client.set_trace(WireTraceContext::from_context(ctx, false));
+                if let Some(ctx) = trace {
+                    let push_ctx = ctx.child("gossip_push", push_index);
+                    client.set_trace(WireTraceContext::from_context(push_ctx, false));
                 }
-                let push_started = Instant::now();
-                let push_epoch = shared.obs.now_seconds();
-                match client.gossip_push(vec![entry.clone()]) {
-                    Ok(accepted) => {
-                        // The ack closes the loop: record the push (with
-                        // the receiver's accepted count) in the originating
-                        // request's tree; the receiver's gossip_receive
-                        // parents under this span.
-                        if let (Some(ctx), Some(push_ctx)) = (trace, push_ctx) {
-                            let mut fields = link_fields(&SpanLink {
-                                trace_id: push_ctx.trace_id,
-                                span_id: push_ctx.span_id,
-                                parent_span_id: ctx.span_id,
-                            });
-                            fields.push(("instance".to_string(), shared.instance.clone().into()));
-                            fields.push(("peer".to_string(), (peer_id as u64).into()));
-                            fields.push(("accepted".to_string(), accepted.into()));
-                            shared.obs.record_span(
-                                "gossip_push",
-                                push_epoch,
-                                push_started.elapsed().as_secs_f64(),
-                                fields,
-                            );
-                        }
-                        pushed = true;
-                        break;
-                    }
-                    Err(_) => {
-                        conns.remove(&peer_id);
-                    }
-                }
+                let started = Arrival::now(&shared.core.obs);
+                let accepted = client.gossip_push(vec![entry.clone()])?;
+                Ok((accepted, started))
+            });
+            let Ok((accepted, started)) = pushed else {
+                continue;
+            };
+            // The ack closes the loop: record the push (with the
+            // receiver's accepted count) in the originating request's
+            // tree.
+            if let Some(ctx) = trace {
+                shared.core.obs.record_child_span(
+                    ctx,
+                    "gossip_push",
+                    push_index,
+                    started.epoch,
+                    started.at.elapsed().as_secs_f64(),
+                    &[
+                        ("instance", shared.core.instance.clone().into()),
+                        ("peer", (peer_id as u64).into()),
+                        ("accepted", accepted.into()),
+                    ],
+                );
             }
-            if pushed {
-                shared.gossip_sent.fetch_add(1, Ordering::SeqCst);
-            }
+            shared.gossip_sent.fetch_add(1, Ordering::SeqCst);
         }
     }
 }
@@ -908,11 +675,8 @@ pub struct FleetReplica;
 
 /// Handle to a running replica.
 pub struct ReplicaHandle {
-    shared: Arc<Shared>,
-    event: Option<EventLoopHandle>,
-    workers: Vec<JoinHandle<()>>,
+    server: Server<Shared>,
     gossip: Option<JoinHandle<()>>,
-    addr: SocketAddr,
     persist_path: Option<PathBuf>,
 }
 
@@ -936,81 +700,61 @@ impl FleetReplica {
         }
         let shared = Arc::new(Shared {
             id: config.id,
-            instance,
             config_fingerprint,
             service: PlanService::new(config.planner.clone()).with_obs(obs.clone()),
+            core: Core::new(instance, obs, config.queue_capacity),
             cache,
             waiters: Mutex::new(HashMap::new()),
-            queue: BoundedQueue::new(config.queue_capacity),
             peers: Mutex::new(PeerTable {
                 ring: HashRing::with_members(&[config.id]),
                 addrs: HashMap::new(),
             }),
             gossip_tx: Mutex::new(None),
-            obs,
-            slow: SlowRing::new(SLOW_RING_CAPACITY),
-            stop: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             computed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             gossip_sent: AtomicU64::new(0),
             gossip_accepted: AtomicU64::new(0),
             warm_join_imported: AtomicU64::new(0),
-            connections: OnceLock::new(),
         });
-        let event = spawn_event_loop(
+        let server = Server::start(
+            Arc::clone(&shared),
             &config.addr,
-            Arc::new(ReplicaHandler {
-                shared: Arc::clone(&shared),
-            }),
-            EventLoopConfig {
-                max_connections: config.max_connections,
-            },
+            config.max_connections,
+            config.workers,
         )?;
-        let _ = shared.connections.set(event.connections_shared());
-        let addr = event.addr();
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        let gossip = if config.gossip_fanout > 0 {
+        let gossip = (config.gossip_fanout > 0).then(|| {
             let (tx, rx) = mpsc::channel();
             *shared.gossip_tx.lock().unwrap() = Some(tx);
-            let shared = Arc::clone(&shared);
             let fanout = config.gossip_fanout;
-            Some(std::thread::spawn(move || gossip_loop(&shared, rx, fanout)))
-        } else {
-            None
-        };
+            std::thread::spawn(move || gossip_loop(&shared, rx, fanout))
+        });
         Ok(ReplicaHandle {
-            shared,
-            event: Some(event),
-            workers,
+            server,
             gossip,
-            addr,
             persist_path: config.persist_path,
         })
     }
 }
 
 impl ReplicaHandle {
+    fn shared(&self) -> &Shared {
+        &self.server.role
+    }
+
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// This replica's fleet id.
     pub fn id(&self) -> usize {
-        self.shared.id
+        self.shared().id
     }
 
     /// The `instance` metric label (`replica-<id>` unless configured).
     pub fn instance(&self) -> String {
-        self.shared.instance.clone()
+        self.shared().core.instance.clone()
     }
 
     /// Freeze the worker pool. Queued and future jobs wait; admission
@@ -1018,45 +762,46 @@ impl ReplicaHandle {
     /// deterministic herd and shed tests need. Once this returns, no
     /// worker pops another job until [`resume`](Self::resume).
     pub fn pause(&self) {
-        self.shared.queue.set_paused(true);
+        self.shared().core.queue.set_paused(true);
     }
 
     /// Release a paused worker pool.
     pub fn resume(&self) {
-        self.shared.queue.set_paused(false);
+        self.shared().core.queue.set_paused(false);
     }
 
     /// Jobs currently queued.
     pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
+        self.shared().core.queue.len()
     }
 
     /// Currently open connections on the event loop.
     pub fn connections(&self) -> usize {
-        self.event.as_ref().map_or(0, |e| e.connections())
+        self.shared().core.connections()
     }
 
     /// Point-in-time serving statistics.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats()
+        self.shared().stats()
     }
 
     /// Gossip pushes successfully delivered to peers.
     pub fn gossip_sent(&self) -> u64 {
-        self.shared.gossip_sent.load(Ordering::SeqCst)
+        self.shared().gossip_sent.load(Ordering::SeqCst)
     }
 
     /// Install the fleet membership: every `(id, addr)` including or
     /// excluding this replica (it is always on its own ring). Gossip
     /// targets and ring ownership update immediately.
     pub fn set_peers(&self, members: &[(usize, SocketAddr)]) {
-        let mut peers = self.shared.peers.lock().unwrap();
+        let id = self.id();
+        let mut peers = self.shared().peers.lock().unwrap();
         let mut ids: Vec<usize> = members.iter().map(|&(id, _)| id).collect();
-        ids.push(self.shared.id);
+        ids.push(id);
         peers.ring = HashRing::with_members(&ids);
         peers.addrs = members
             .iter()
-            .filter(|&&(id, _)| id != self.shared.id)
+            .filter(|&&(member, _)| member != id)
             .copied()
             .collect();
     }
@@ -1080,39 +825,37 @@ impl ReplicaHandle {
         max_entries: usize,
         trace: Option<TraceContext>,
     ) -> std::io::Result<usize> {
+        let shared = self.shared();
         let mut client = PlanClient::connect(peer)?;
-        let pull_ctx = trace.map(|ctx| ctx.child("snapshot_pull", 0));
-        if let Some(ctx) = pull_ctx {
-            client.set_trace(WireTraceContext::from_context(ctx, false));
+        if let Some(ctx) = trace {
+            let pull_ctx = ctx.child("snapshot_pull", 0);
+            client.set_trace(WireTraceContext::from_context(pull_ctx, false));
         }
-        let pull_started = Instant::now();
-        let pull_epoch = self.shared.obs.now_seconds();
+        let started = Arrival::now(&shared.core.obs);
         let entries = client.snapshot_pull(max_entries)?;
-        let imported = self.shared.cache.import(
+        let imported = shared.cache.import(
             entries
                 .into_iter()
                 .map(|entry| (entry.key, entry.result))
                 .collect(),
         );
-        if let (Some(ctx), Some(pull_ctx)) = (trace, pull_ctx) {
-            let mut fields = link_fields(&SpanLink {
-                trace_id: pull_ctx.trace_id,
-                span_id: pull_ctx.span_id,
-                parent_span_id: ctx.span_id,
-            });
-            fields.push(("instance".to_string(), self.shared.instance.clone().into()));
-            fields.push(("imported".to_string(), (imported as u64).into()));
-            self.shared.obs.record_span(
+        if let Some(ctx) = trace {
+            shared.core.obs.record_child_span(
+                ctx,
                 "snapshot_pull",
-                pull_epoch,
-                pull_started.elapsed().as_secs_f64(),
-                fields,
+                0,
+                started.epoch,
+                started.at.elapsed().as_secs_f64(),
+                &[
+                    ("instance", shared.core.instance.clone().into()),
+                    ("imported", (imported as u64).into()),
+                ],
             );
         }
-        self.shared
+        shared
             .warm_join_imported
             .fetch_add(imported as u64, Ordering::SeqCst);
-        self.shared.refresh_metrics();
+        shared.refresh_metrics();
         Ok(imported)
     }
 
@@ -1120,49 +863,15 @@ impl ReplicaHandle {
     /// answer queued jobs and their waiters with `ShuttingDown`, flush
     /// every connection, join every thread, and (when configured) persist
     /// the response cache for a warm restart.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Belt and braces: resolve any straggler jobs and waiters so no
-        // slot is left unfilled when the event loop drains.
-        while let Some(job) = self.shared.queue.pop(Duration::ZERO) {
-            self.shared
-                .resolve_waiters(&job.key, &self.shared.shutting_down(), None);
-        }
-        let keys: Vec<PlanKey> = self
-            .shared
-            .waiters
-            .lock()
-            .unwrap()
-            .keys()
-            .cloned()
-            .collect();
-        for key in keys {
-            self.shared
-                .resolve_waiters(&key, &self.shared.shutting_down(), None);
-        }
-        *self.shared.gossip_tx.lock().unwrap() = None; // ends the gossip loop
-        if let Some(gossip) = self.gossip.take() {
+    pub fn shutdown(self) {
+        let shared = Arc::clone(&self.server.role);
+        self.server.shutdown();
+        *shared.gossip_tx.lock().unwrap() = None; // ends the gossip loop
+        if let Some(gossip) = self.gossip {
             let _ = gossip.join();
         }
-        if let Some(event) = self.event.take() {
-            event.stop_and_join();
-        }
         if let Some(path) = &self.persist_path {
-            let _ = self
-                .shared
-                .cache
-                .persist(path, &self.shared.config_fingerprint);
+            let _ = shared.cache.persist(path, &shared.config_fingerprint);
         }
-    }
-}
-
-impl Drop for ReplicaHandle {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
     }
 }

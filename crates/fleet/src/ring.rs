@@ -200,13 +200,24 @@ impl HashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use galvatron_cluster::rtx_titan_node;
+    use galvatron_model::BertConfig;
+    use galvatron_serve::PlanBody;
 
+    /// The cache key of the `i`-th of a family of distinct questions.
     fn key(i: u64) -> PlanKey {
-        PlanKey {
-            model_json: format!("{{\"model\":{i}}}"),
-            topology_fingerprint: 0x9e37_79b9_7f4a_7c15 ^ i,
-            budget_bytes: 8 << 30,
-        }
+        let model = BertConfig {
+            layers: 1,
+            hidden: 64,
+            heads: 2,
+            seq: 16,
+            vocab: 100,
+        };
+        PlanKey::of(&PlanBody {
+            model: model.build("tiny"),
+            topology: rtx_titan_node(8),
+            budget_bytes: (i + 1) << 20,
+        })
     }
 
     #[test]

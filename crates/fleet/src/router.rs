@@ -2,13 +2,16 @@
 //! its cache key, fail over transparently when a replica dies.
 //!
 //! The router speaks the same JSONL protocol as a replica, so clients do
-//! not know (or care) whether they talk to one daemon or a fleet. For a
-//! `Plan` request it computes the key's ring position, forwards the
-//! client's **raw request line** to the owning replica, and relays the
-//! replica's **raw response line** back — no re-serialization anywhere on
-//! the path, so the stable-bytes contract survives the hop untouched
-//! (byte-identical answers whether a client asks a replica directly or
-//! through the router, cached/coalesced envelope flags included).
+//! not know (or care) whether they talk to one daemon or a fleet. It is
+//! the second role on the replica's serving core (`serving.rs`) — same
+//! parse prelude, control verbs, HTTP endpoints, queue consumers and drain
+//! — and adds only routing. For a `Plan` request it computes the key's
+//! ring position, forwards the client's **raw request line** to the
+//! owning replica, and relays the replica's **raw response line** back —
+//! no re-serialization anywhere on the path, so the stable-bytes contract
+//! survives the hop untouched (byte-identical answers whether a client
+//! asks a replica directly or through the router, cached/coalesced
+//! envelope flags included).
 //!
 //! Failure handling is reactive, not probed: the first request whose
 //! forward fails (after one reconnect attempt — the pooled connection may
@@ -21,33 +24,35 @@
 //! question to **every** live replica and reports whether the serialized
 //! answers are byte-identical — the cross-replica identity gate the CI
 //! smoke and the fleet bench assert on.
+//!
+//! `GET /metrics` and `GET /trace/slow` federate: they pull every live
+//! replica's registry or slow ring and merge them with the router's own.
+//! Each pull is bounded by a fixed one-second timeout, so a member that
+//! accepts connections but never answers is left out instead of freezing
+//! the router's event loop.
 
-use crate::event::{spawn_event_loop, EventLoopConfig, EventLoopHandle, LineHandler, ResponseSlot};
+use crate::event::ResponseSlot;
 use crate::ring::{plan_key_hash, HashRing};
-use galvatron_obs::trace::{link_fields, PHASE_RELAY_HOP};
-use galvatron_obs::{
-    child_span_id, MetricsSnapshot, Obs, SlowRing, SlowTraceEntry, SpanLink, TraceContext,
+use crate::serving::{
+    call_pooled, fill, Arrival, Core, Pool, RequestTrace, Role, Server, SLOW_RING_CAPACITY,
 };
+use galvatron_obs::trace::PHASE_RELAY_HOP;
+use galvatron_obs::{MetricsSnapshot, Obs, SlowTraceEntry};
 use galvatron_serve::{
-    BoundedQueue, ErrorCode, FleetCheckReport, PlanBody, PlanClient, PlanKey, PushError,
-    RequestBody, ServeError, ServeStats, WireRequest, WireResponse, WireResult, WireTraceContext,
-    PROTOCOL_VERSION,
+    ErrorCode, FleetCheckReport, PlanBody, PlanClient, PlanKey, RequestBody, WireRequest,
+    WireResponse, WireResult, WireTraceContext,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const TICK: Duration = Duration::from_millis(100);
-
-/// What clients are told to wait before retrying when no replica is live.
-const UNAVAILABLE_RETRY_MS: u64 = 200;
-
-/// K-slowest traced requests the router keeps (and the cap it applies to
-/// the fleet-merged `/trace/slow` export).
-const SLOW_RING_CAPACITY: usize = 32;
+/// How long a federated scrape waits on one replica — to connect, and
+/// then for each read or write — before leaving it out. The scrape runs
+/// on the event loop, so this bounds how long one silent member can stall
+/// every client of the router.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -85,23 +90,6 @@ struct Membership {
     dead: BTreeSet<usize>,
 }
 
-/// Trace state for one routed request: captured at admission so the
-/// relay-hop slice covers router queueing, the forward and any failover.
-struct RouteTrace {
-    /// The client's trace position (parent of the router's `route_plan`
-    /// span).
-    client: TraceContext,
-    /// The router's `route_plan` context; the downstream replica's
-    /// `serve_request` span parents under it.
-    server: TraceContext,
-    /// Whether the client opted in to an attribution record.
-    want_attribution: bool,
-    /// When the request line was admitted.
-    received: Instant,
-    /// `received` on the obs epoch clock.
-    received_epoch: f64,
-}
-
 struct RouteJob {
     /// Envelope identity for router-originated error answers.
     id: u64,
@@ -112,25 +100,162 @@ struct RouteJob {
 
 enum JobKind {
     /// Relay `line` to the owner of `hash`, failing over along the ring.
+    /// A traced request's trace is captured at admission, so the relay-hop
+    /// slice covers router queueing, the forward and any failover.
     Forward {
         line: String,
         hash: u64,
-        trace: Option<RouteTrace>,
+        trace: Option<RequestTrace>,
     },
     /// `FleetCheck`: ask every live replica and compare answer bytes.
     Broadcast { body: PlanBody },
 }
 
 struct Shared {
+    core: Core<RouteJob>,
     membership: Mutex<Membership>,
-    queue: BoundedQueue<RouteJob>,
-    obs: Obs,
-    slow: SlowRing,
-    stop: AtomicBool,
-    requests: AtomicU64,
     forwarded: AtomicU64,
     failovers: AtomicU64,
-    shed: AtomicU64,
+}
+
+impl Role for Shared {
+    type Job = RouteJob;
+    type Worker = Pool;
+    const NAME: &'static str = "router";
+    const QUEUE: &'static str = "router queue";
+
+    fn core(&self) -> &Core<RouteJob> {
+        &self.core
+    }
+
+    fn refresh_metrics(&self) {
+        let live = self.membership.lock().unwrap().addrs.len();
+        let load = |tally: &AtomicU64| tally.load(Ordering::SeqCst);
+        self.core.publish(
+            &[
+                ("fleet_router_live_replicas", live as f64),
+                ("serve_queue_depth", self.core.queue.len() as f64),
+            ],
+            &[
+                ("serve_requests_total", load(&self.core.requests)),
+                ("fleet_router_forwarded_total", load(&self.forwarded)),
+                ("fleet_router_failovers_total", load(&self.failovers)),
+                ("serve_shed_total", load(&self.core.shed)),
+            ],
+        );
+    }
+
+    fn handle(&self, mut request: WireRequest, line: &str, arrival: Arrival, slot: ResponseSlot) {
+        let (id, name) = (request.id, request.name.clone());
+        let kind = match request.body {
+            RequestBody::Plan(ref body) => {
+                let hash = plan_key_hash(&PlanKey::of(body));
+                // Traced requests have the forwarded line re-stamped with
+                // the router's `route_plan` context, so the replica's
+                // serve_request span parents under the router and the
+                // client sees one linked tree. Untraced requests keep the
+                // raw-line relay — the v2 byte path is untouched.
+                let trace = RequestTrace::start(&request, "route_plan", arrival);
+                let line = match &trace {
+                    Some(t) => {
+                        let server = WireTraceContext::from_context(t.server, t.want_attribution);
+                        request.trace = Some(server);
+                        serde_json::to_string(&request).unwrap_or_else(|_| line.to_string())
+                    }
+                    None => line.to_string(),
+                };
+                JobKind::Forward { line, hash, trace }
+            }
+            RequestBody::FleetCheck(body) => JobKind::Broadcast { body },
+            _ => {
+                let message =
+                    "the router holds no cache; address peer-protocol requests to a replica";
+                let result = WireResult::error(ErrorCode::BadRequest, message);
+                return fill(&slot, &WireResponse::direct(id, name, result));
+            }
+        };
+        let job = RouteJob {
+            id,
+            name: name.clone(),
+            kind,
+            slot: slot.clone(),
+        };
+        if let Err(refusal) = self.admit(job) {
+            fill(&slot, &WireResponse::direct(id, name, refusal));
+        }
+    }
+
+    fn run(&self, pool: &mut Pool, job: RouteJob) {
+        let response = match job.kind {
+            JobKind::Forward { line, hash, trace } => {
+                match self.forward(pool, &line, hash, trace.as_ref()) {
+                    Some(response) => return job.slot.fill(response),
+                    None => {
+                        WireResult::error(ErrorCode::Unavailable, "no live replica to forward to")
+                    }
+                }
+            }
+            JobKind::Broadcast { body } => self.broadcast(pool, job.id, &job.name, body),
+        };
+        fill(&job.slot, &WireResponse::direct(job.id, job.name, response));
+    }
+
+    fn refuse(&self, job: RouteJob) {
+        let response = WireResponse::direct(job.id, job.name, self.shutting_down());
+        fill(&job.slot, &response);
+    }
+
+    /// Fleet federation: one scrape of the router answers for the whole
+    /// fleet — every live replica's deterministic snapshot is pulled and
+    /// merged under its instance label next to the router's own series.
+    fn metrics_text(&self) -> String {
+        self.refresh_metrics();
+        let mut parts = vec![("router".to_string(), self.core.obs.registry().snapshot())];
+        for (id, snapshot) in self.scrape(PlanClient::metrics_pull) {
+            parts.push((format!("replica-{id}"), snapshot));
+        }
+        MetricsSnapshot::merge_labelled(&parts).to_prometheus()
+    }
+
+    /// The router's own ring merged with every live replica's, slowest
+    /// first, capped at the ring capacity.
+    fn slow_traces(&self) -> Vec<SlowTraceEntry> {
+        let mut entries = self.core.slow.drain();
+        for (_, pulled) in self.scrape(PlanClient::slow_trace_pull) {
+            entries.extend(pulled);
+        }
+        entries.sort_by(|a, b| {
+            b.total_seconds
+                .partial_cmp(&a.total_seconds)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.trace_id.cmp(&b.trace_id))
+        });
+        entries.truncate(SLOW_RING_CAPACITY);
+        entries
+    }
+
+    fn health(&self) -> (bool, String) {
+        let (live, dead, vnodes) = {
+            let membership = self.membership.lock().unwrap();
+            (
+                membership.addrs.len(),
+                membership.dead.len(),
+                membership.ring.len() * membership.ring.vnodes_per_member(),
+            )
+        };
+        let status = if self.core.stopping() {
+            "draining"
+        } else if live == 0 {
+            "unavailable"
+        } else {
+            "ok"
+        };
+        let body = format!(
+            "{{\"status\":\"{status}\",\"instance\":\"router\",\"live\":{live},\
+             \"dead\":{dead},\"vnodes\":{vnodes}}}\n"
+        );
+        (status == "ok", body)
+    }
 }
 
 impl Shared {
@@ -156,610 +281,159 @@ impl Shared {
         }
     }
 
-    fn refresh_metrics(&self) {
-        let registry = self.obs.registry();
-        let labels = [("instance", "router")];
-        registry
-            .gauge_with("fleet_router_live_replicas", &labels)
-            .set(self.membership.lock().unwrap().addrs.len() as f64);
-        registry
-            .gauge_with("serve_queue_depth", &labels)
-            .set(self.queue.len() as f64);
-        for (name, total) in [
-            ("serve_requests_total", self.requests.load(Ordering::SeqCst)),
-            (
-                "fleet_router_forwarded_total",
-                self.forwarded.load(Ordering::SeqCst),
-            ),
-            (
-                "fleet_router_failovers_total",
-                self.failovers.load(Ordering::SeqCst),
-            ),
-            ("serve_shed_total", self.shed.load(Ordering::SeqCst)),
-        ] {
-            let counter = registry.counter_with(name, &labels);
-            counter.inc_by(total.saturating_sub(counter.get()));
-        }
+    /// Ask every live replica for `pull` on a fresh connection bounded by
+    /// [`SCRAPE_TIMEOUT`]. A failed or timed-out scrape just omits that
+    /// replica; scraping is not the failure detector.
+    fn scrape<T>(&self, pull: impl Fn(&mut PlanClient) -> std::io::Result<T>) -> Vec<(usize, T)> {
+        self.live_replicas()
+            .into_iter()
+            .filter_map(|(id, addr)| {
+                let mut client = PlanClient::connect_timeout(addr, SCRAPE_TIMEOUT).ok()?;
+                Some((id, pull(&mut client).ok()?))
+            })
+            .collect()
     }
 
-    fn stats(&self) -> ServeStats {
-        ServeStats {
-            queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
-            shed: self.shed.load(Ordering::SeqCst),
-            requests: self.requests.load(Ordering::SeqCst),
-            ..ServeStats::default()
-        }
-    }
-
-    fn error_response(
+    /// Relay `line` to the owner of `hash`; on failure mark the owner dead
+    /// and retry against the next — consistent hashing guarantees the
+    /// retry lands on the replica that inherited the key (and, with
+    /// gossip, its warm answer). Each live replica gets at most one
+    /// (reconnect-included) try per request; `None` when all are gone.
+    fn forward(
         &self,
-        id: u64,
-        name: String,
-        code: ErrorCode,
-        message: String,
-        retry_after_ms: Option<u64>,
-    ) -> WireResponse {
-        WireResponse {
-            id,
-            name,
-            cached: false,
-            coalesced: false,
-            attribution: None,
-            result: WireResult::Error(ServeError {
-                code,
-                message,
-                retry_after_ms,
-            }),
-        }
-    }
-}
-
-fn fill_json(slot: &ResponseSlot, response: &WireResponse) {
-    if let Ok(line) = serde_json::to_string(response) {
-        slot.fill(line);
-    }
-}
-
-struct RouterHandler {
-    shared: Arc<Shared>,
-}
-
-impl LineHandler for RouterHandler {
-    fn on_line(&self, line: &str, slot: ResponseSlot) {
-        let shared = &self.shared;
-        let received = Instant::now();
-        let received_epoch = shared.obs.now_seconds();
-        shared.requests.fetch_add(1, Ordering::SeqCst);
-        let request: WireRequest = match serde_json::from_str(line) {
-            Ok(request) => request,
-            Err(e) => {
-                fill_json(
-                    &slot,
-                    &shared.error_response(
-                        0,
-                        String::new(),
-                        ErrorCode::BadRequest,
-                        format!("unparseable request line: {e}"),
-                        None,
-                    ),
-                );
-                return;
-            }
-        };
-        let (id, name) = (request.id, request.name.clone());
-        let answer = |result: WireResult| {
-            fill_json(
-                &slot,
-                &WireResponse {
-                    id,
-                    name: name.clone(),
-                    cached: false,
-                    coalesced: false,
-                    attribution: None,
-                    result,
-                },
-            );
-        };
-        let kind = match request.body {
-            RequestBody::Ping => return answer(WireResult::Pong(PROTOCOL_VERSION)),
-            RequestBody::Stats => return answer(WireResult::Stats(shared.stats())),
-            RequestBody::Metrics => {
-                shared.refresh_metrics();
-                let text = shared.obs.registry().snapshot().to_prometheus();
-                return answer(WireResult::Metrics(text));
-            }
-            RequestBody::MetricsPull => {
-                shared.refresh_metrics();
-                return answer(WireResult::MetricsState(shared.obs.registry().snapshot()));
-            }
-            RequestBody::SlowTracePull => {
-                return answer(WireResult::SlowTraces(shared.slow.drain()))
-            }
-            RequestBody::SnapshotPull { .. } | RequestBody::GossipPush { .. } => {
-                fill_json(
-                    &slot,
-                    &shared.error_response(
-                        id,
-                        name,
-                        ErrorCode::BadRequest,
-                        "the router holds no cache; address peer-protocol requests to a replica"
-                            .to_string(),
-                        None,
-                    ),
-                );
-                return;
-            }
-            RequestBody::Plan(ref body) => {
-                let Ok(model_json) = serde_json::to_string(&body.model) else {
-                    fill_json(
-                        &slot,
-                        &shared.error_response(
-                            id,
-                            name,
-                            ErrorCode::BadRequest,
-                            "model does not serialize canonically".to_string(),
-                            None,
-                        ),
-                    );
-                    return;
-                };
-                let key = PlanKey {
-                    model_json,
-                    topology_fingerprint: body.topology.fingerprint(),
-                    budget_bytes: body.budget_bytes,
-                };
-                let hash = plan_key_hash(&key);
-                // Traced requests have the forwarded line re-stamped with
-                // the router's `route_plan` context, so the replica's
-                // serve_request span parents under the router and the
-                // client sees one linked tree. Untraced requests keep the
-                // raw-line relay — the v2 byte path is untouched.
-                let trace = request
-                    .trace
-                    .as_ref()
-                    .and_then(|wire| wire.context().map(|ctx| (ctx, wire.attribution)));
-                match trace {
-                    Some((client, want_attribution)) => {
-                        let server = client.child("route_plan", 0);
-                        let downstream = WireRequest {
-                            id,
-                            name: name.clone(),
-                            trace: Some(WireTraceContext::from_context(server, want_attribution)),
-                            body: RequestBody::Plan(body.clone()),
-                        };
-                        let line =
-                            serde_json::to_string(&downstream).unwrap_or_else(|_| line.to_string());
-                        JobKind::Forward {
-                            line,
-                            hash,
-                            trace: Some(RouteTrace {
-                                client,
-                                server,
-                                want_attribution,
-                                received,
-                                received_epoch,
-                            }),
-                        }
-                    }
-                    None => JobKind::Forward {
-                        line: line.to_string(),
-                        hash,
-                        trace: None,
-                    },
+        pool: &mut Pool,
+        line: &str,
+        hash: u64,
+        trace: Option<&RequestTrace>,
+    ) -> Option<String> {
+        loop {
+            let (owner, addr) = {
+                let membership = self.membership.lock().unwrap();
+                let owner = membership.ring.route_hash(hash)?;
+                (owner, *membership.addrs.get(&owner)?)
+            };
+            match call_pooled(pool, owner, addr, |c| c.round_trip_raw(line)) {
+                Ok(response) => {
+                    self.forwarded.fetch_add(1, Ordering::SeqCst);
+                    return Some(match trace {
+                        Some(t) => self.finish_traced_forward(t, response),
+                        None => response,
+                    });
                 }
-            }
-            RequestBody::FleetCheck(body) => JobKind::Broadcast { body },
-        };
-        let job = RouteJob {
-            id,
-            name: name.clone(),
-            kind,
-            slot: slot.clone(),
-        };
-        match shared.queue.try_push(job) {
-            Ok(()) => {}
-            Err(PushError::Full) => {
-                shared.shed.fetch_add(1, Ordering::SeqCst);
-                fill_json(
-                    &slot,
-                    &shared.error_response(
-                        id,
-                        name,
-                        ErrorCode::Overloaded,
-                        format!("router queue full (capacity {})", shared.queue.capacity()),
-                        Some(50),
-                    ),
-                );
-            }
-            Err(PushError::Closed) => {
-                fill_json(
-                    &slot,
-                    &shared.error_response(
-                        id,
-                        name,
-                        ErrorCode::ShuttingDown,
-                        "router is shutting down".to_string(),
-                        Some(50),
-                    ),
-                );
+                // The ring now routes `hash` to the next owner.
+                Err(_) => self.mark_dead(owner),
             }
         }
     }
 
-    fn on_http_get(&self, path: &str) -> (String, String, String) {
-        let shared = &self.shared;
-        match path {
-            "/metrics" => {
-                // Fleet federation: one scrape of the router answers for
-                // the whole fleet — every live replica's deterministic
-                // snapshot is pulled and merged under its instance label
-                // next to the router's own series.
-                shared.refresh_metrics();
-                let mut parts: Vec<(String, MetricsSnapshot)> =
-                    vec![("router".to_string(), shared.obs.registry().snapshot())];
-                for (id, addr) in shared.live_replicas() {
-                    // A failed scrape just omits that replica; scraping
-                    // is not the failure detector.
-                    if let Ok(snapshot) =
-                        PlanClient::connect(addr).and_then(|mut c| c.metrics_pull())
-                    {
-                        parts.push((format!("replica-{id}"), snapshot));
-                    }
-                }
-                (
-                    "200 OK".to_string(),
-                    "text/plain; version=0.0.4".to_string(),
-                    MetricsSnapshot::merge_labelled(&parts).to_prometheus(),
-                )
-            }
-            "/healthz" | "/health" => {
-                let (live, dead, vnodes) = {
-                    let membership = shared.membership.lock().unwrap();
-                    (
-                        membership.addrs.len(),
-                        membership.dead.len(),
-                        membership.ring.len() * membership.ring.vnodes_per_member(),
-                    )
-                };
-                let draining = shared.stop.load(Ordering::SeqCst);
-                let status = if draining {
-                    "draining"
-                } else if live == 0 {
-                    "unavailable"
-                } else {
-                    "ok"
-                };
-                let code = if status == "ok" {
-                    "200 OK"
-                } else {
-                    "503 Service Unavailable"
-                };
-                let body = format!(
-                    "{{\"status\":\"{status}\",\"instance\":\"router\",\"live\":{live},\
-                     \"dead\":{dead},\"vnodes\":{vnodes}}}\n"
-                );
-                (code.to_string(), "application/json".to_string(), body)
-            }
-            "/trace/slow" => {
-                // Merge the router's own ring with every live replica's,
-                // slowest first, capped at the ring capacity.
-                let mut entries = shared.slow.drain();
-                for (_, addr) in shared.live_replicas() {
-                    if let Ok(pulled) =
-                        PlanClient::connect(addr).and_then(|mut c| c.slow_trace_pull())
-                    {
-                        entries.extend(pulled);
-                    }
-                }
-                entries.sort_by(|a, b| {
-                    b.total_seconds
-                        .partial_cmp(&a.total_seconds)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.trace_id.cmp(&b.trace_id))
-                });
-                entries.truncate(SLOW_RING_CAPACITY);
-                let body = serde_json::to_string(&entries).unwrap_or_else(|_| "[]".to_string());
-                (
-                    "200 OK".to_string(),
-                    "application/json".to_string(),
-                    format!("{body}\n"),
-                )
-            }
-            _ => (
-                "404 Not Found".to_string(),
-                "text/plain".to_string(),
-                format!("unknown path {path}; try /metrics, /healthz or /trace/slow\n"),
-            ),
-        }
-    }
-}
-
-/// A forwarder thread: pooled connections to each replica, one request
-/// relayed at a time.
-fn forwarder_loop(shared: &Arc<Shared>) {
-    let mut pool: HashMap<usize, PlanClient> = HashMap::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) && shared.queue.is_empty() {
-            return;
-        }
-        let Some(job) = shared.queue.pop(TICK) else {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
+    /// Close out a traced forward: record the router's `route_plan` span
+    /// and, when the client asked for attribution, append the `relay_hop`
+    /// slice (router wall time minus the replica's total — queueing,
+    /// forwarding and any failover) to the replica's record and lift the
+    /// total to the router-observed wall time.
+    fn finish_traced_forward(&self, trace: &RequestTrace, response: String) -> String {
+        // Attribution rides the parsed envelope, so parse first: the parse
+        // is router work and belongs inside the router-observed wall time.
+        // A response that does not parse (or carries no record) is relayed
+        // untouched.
+        let parsed = trace
+            .want_attribution
+            .then(|| serde_json::from_str::<WireResponse>(&response).ok())
+            .flatten();
+        let total = trace.arrival.at.elapsed().as_secs_f64();
+        let obs = &self.core.obs;
+        let instance = [("instance", self.core.instance.clone().into())];
+        let route_span = obs.record_child_span(
+            trace.client,
+            "route_plan",
+            0,
+            trace.arrival.epoch,
+            total,
+            &instance,
+        );
+        let Some(mut parsed) = parsed else {
+            return response;
         };
-        if shared.stop.load(Ordering::SeqCst) {
-            fill_json(
-                &job.slot,
-                &shared.error_response(
-                    job.id,
-                    job.name,
-                    ErrorCode::ShuttingDown,
-                    "router is shutting down".to_string(),
-                    Some(50),
-                ),
-            );
-            continue;
-        }
-        match job.kind {
-            JobKind::Forward { line, hash, trace } => {
-                forward(
-                    shared,
-                    &mut pool,
-                    job.id,
-                    job.name,
-                    &line,
-                    hash,
-                    trace.as_ref(),
-                    &job.slot,
-                );
-            }
-            JobKind::Broadcast { body } => {
-                broadcast(shared, &mut pool, job.id, job.name, body, &job.slot);
-            }
-        }
-    }
-}
-
-/// Relay `line` to the owner of `hash`; on failure mark the owner dead and
-/// retry against the next — consistent hashing guarantees the retry lands
-/// on the replica that inherited the key (and, with gossip, its warm
-/// answer).
-#[allow(clippy::too_many_arguments)]
-fn forward(
-    shared: &Arc<Shared>,
-    pool: &mut HashMap<usize, PlanClient>,
-    id: u64,
-    name: String,
-    line: &str,
-    hash: u64,
-    trace: Option<&RouteTrace>,
-    slot: &ResponseSlot,
-) {
-    // Each live replica gets at most one (reconnect-included) try per
-    // request; when all are gone the client hears `Unavailable`.
-    loop {
-        let target = {
-            let membership = shared.membership.lock().unwrap();
-            membership
-                .ring
-                .route_hash(hash)
-                .and_then(|owner| membership.addrs.get(&owner).map(|&addr| (owner, addr)))
+        let Some(mut attr) = parsed.attribution.take() else {
+            return response;
         };
-        let Some((owner, addr)) = target else {
-            fill_json(
-                slot,
-                &shared.error_response(
-                    id,
-                    name,
-                    ErrorCode::Unavailable,
-                    "no live replica to forward to".to_string(),
-                    Some(UNAVAILABLE_RETRY_MS),
-                ),
-            );
-            return;
-        };
-        match relay_once(pool, owner, addr, line) {
-            Ok(response) => {
-                shared.forwarded.fetch_add(1, Ordering::SeqCst);
-                let response = match trace {
-                    Some(t) => finish_traced_forward(shared, t, response),
-                    None => response,
-                };
-                slot.fill(response);
-                return;
-            }
-            Err(_) => {
-                shared.mark_dead(owner);
-                // Loop: the ring now routes `hash` to the next owner.
-            }
-        }
-    }
-}
-
-/// Close out a traced forward: record the router's `route_plan` span and,
-/// when the client asked for attribution, append the `relay_hop` slice
-/// (router wall time minus the replica's total — queueing, forwarding and
-/// any failover) to the replica's record and lift the total to the
-/// router-observed wall time.
-fn finish_traced_forward(shared: &Arc<Shared>, trace: &RouteTrace, response: String) -> String {
-    // Attribution rides the parsed envelope, so parse first: the parse is
-    // router work and belongs inside the router-observed wall time. A
-    // response that does not parse (or carries no record) is relayed
-    // untouched.
-    let parsed = trace
-        .want_attribution
-        .then(|| serde_json::from_str::<WireResponse>(&response).ok())
-        .flatten();
-    let total = trace.received.elapsed().as_secs_f64();
-    let mut fields = link_fields(&SpanLink {
-        trace_id: trace.server.trace_id,
-        span_id: trace.server.span_id,
-        parent_span_id: trace.client.span_id,
-    });
-    fields.push(("instance".to_string(), "router".into()));
-    let route_span = galvatron_obs::SpanRecord {
-        name: "route_plan".to_string(),
-        start_seconds: trace.received_epoch,
-        duration_seconds: total,
-        fields,
-    };
-    shared.obs.sink().record(route_span.clone());
-    let Some(mut parsed) = parsed else {
-        return response;
-    };
-    let Some(mut attr) = parsed.attribution.take() else {
-        return response;
-    };
-    let relay_hop = (total - attr.total_seconds).max(0.0);
-    attr.push_phase(PHASE_RELAY_HOP, relay_hop);
-    attr.total_seconds = total;
-    shared
-        .obs
-        .registry()
-        .wall_histogram_with(
-            "serve_phase_seconds",
-            &[("instance", "router"), ("phase", PHASE_RELAY_HOP)],
-        )
-        .observe(relay_hop);
-    // The relay slice as its own linked span, so span dumps attribute
-    // every phase — the replica's sink holds the serving phases, this is
-    // the one only the router can measure.
-    let mut relay_fields = link_fields(&SpanLink {
-        trace_id: trace.server.trace_id,
-        span_id: child_span_id(
-            trace.server.trace_id,
-            trace.server.span_id,
+        let relay_hop = (total - attr.total_seconds).max(0.0);
+        attr.push_phase(PHASE_RELAY_HOP, relay_hop);
+        attr.total_seconds = total;
+        obs.registry()
+            .wall_histogram_with(
+                "serve_phase_seconds",
+                &[
+                    ("instance", self.core.instance.as_str()),
+                    ("phase", PHASE_RELAY_HOP),
+                ],
+            )
+            .observe(relay_hop);
+        // The relay slice as its own linked span, so span dumps attribute
+        // every phase — the replica's sink holds the serving phases, this
+        // is the one only the router can measure.
+        obs.record_child_span(
+            trace.server,
             PHASE_RELAY_HOP,
             0,
-        ),
-        parent_span_id: trace.server.span_id,
-    });
-    relay_fields.push(("instance".to_string(), "router".into()));
-    shared.obs.sink().record(galvatron_obs::SpanRecord {
-        name: PHASE_RELAY_HOP.to_string(),
-        start_seconds: trace.received_epoch,
-        duration_seconds: relay_hop,
-        fields: relay_fields,
-    });
-    let mut spans = vec![route_span];
-    spans.extend(attr.to_spans(
-        "serve_request",
-        &trace.server.span_id.to_hex(),
-        trace.received_epoch,
-    ));
-    shared.slow.offer(SlowTraceEntry {
-        trace_id: attr.trace_id.clone(),
-        name: "route_plan".to_string(),
-        instance: "router".to_string(),
-        total_seconds: attr.total_seconds,
-        spans,
-    });
-    parsed.attribution = Some(attr);
-    serde_json::to_string(&parsed).unwrap_or(response)
-}
-
-/// One relay attempt against a specific replica, reconnecting once in case
-/// the pooled connection went stale across a replica restart.
-fn relay_once(
-    pool: &mut HashMap<usize, PlanClient>,
-    owner: usize,
-    addr: SocketAddr,
-    line: &str,
-) -> std::io::Result<String> {
-    for attempt in 0..2 {
-        let client = match pool.entry(owner) {
-            std::collections::hash_map::Entry::Occupied(entry) => entry.into_mut(),
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(PlanClient::connect(addr)?)
-            }
-        };
-        match client.round_trip_raw(line) {
-            Ok(response) => return Ok(response),
-            Err(e) => {
-                pool.remove(&owner);
-                if attempt == 1 {
-                    return Err(e);
-                }
-            }
-        }
-    }
-    unreachable!("relay_once returns within two attempts")
-}
-
-/// `FleetCheck`: ask every live replica the same plan question and compare
-/// the serialized `result` payloads byte-for-byte.
-fn broadcast(
-    shared: &Arc<Shared>,
-    pool: &mut HashMap<usize, PlanClient>,
-    id: u64,
-    name: String,
-    body: PlanBody,
-    slot: &ResponseSlot,
-) {
-    let request = WireRequest {
-        id,
-        name: name.clone(),
-        trace: None,
-        body: RequestBody::Plan(body),
-    };
-    let Ok(line) = serde_json::to_string(&request) else {
-        fill_json(
-            slot,
-            &shared.error_response(
-                id,
-                name,
-                ErrorCode::BadRequest,
-                "request does not serialize".to_string(),
-                None,
-            ),
+            trace.arrival.epoch,
+            relay_hop,
+            &instance,
         );
-        return;
-    };
-    let mut payloads: Vec<String> = Vec::new();
-    for (replica_id, addr) in shared.live_replicas() {
-        match relay_once(pool, replica_id, addr, &line) {
-            Ok(response) => match serde_json::from_str::<WireResponse>(&response) {
-                Ok(parsed) => {
+        let mut spans = vec![route_span];
+        spans.extend(attr.to_spans(
+            "serve_request",
+            &trace.server.span_id.to_hex(),
+            trace.arrival.epoch,
+        ));
+        self.core.slow.offer(SlowTraceEntry {
+            trace_id: attr.trace_id.clone(),
+            name: "route_plan".to_string(),
+            instance: self.core.instance.clone(),
+            total_seconds: attr.total_seconds,
+            spans,
+        });
+        parsed.attribution = Some(attr);
+        serde_json::to_string(&parsed).unwrap_or(response)
+    }
+
+    /// `FleetCheck`: ask every live replica the same plan question and
+    /// compare the serialized `result` payloads byte-for-byte.
+    fn broadcast(&self, pool: &mut Pool, id: u64, name: &str, body: PlanBody) -> WireResult {
+        let request = WireRequest {
+            id,
+            name: name.to_string(),
+            trace: None,
+            body: RequestBody::Plan(body),
+        };
+        let Ok(line) = serde_json::to_string(&request) else {
+            return WireResult::error(ErrorCode::BadRequest, "request does not serialize");
+        };
+        let mut payloads: Vec<String> = Vec::new();
+        for (replica_id, addr) in self.live_replicas() {
+            let parsed = call_pooled(pool, replica_id, addr, |c| c.round_trip_raw(&line))
+                .ok()
+                .and_then(|response| serde_json::from_str::<WireResponse>(&response).ok());
+            match parsed {
+                Some(parsed) => {
                     if let Ok(payload) = serde_json::to_string(&parsed.result) {
                         payloads.push(payload);
                     }
                 }
-                Err(_) => shared.mark_dead(replica_id),
-            },
-            Err(_) => shared.mark_dead(replica_id),
+                None => self.mark_dead(replica_id),
+            }
         }
+        if payloads.is_empty() {
+            let message = "no live replica answered the fleet check";
+            return WireResult::error(ErrorCode::Unavailable, message);
+        }
+        let byte_identical = payloads.iter().all(|p| p == &payloads[0]);
+        WireResult::Fleet(FleetCheckReport {
+            replicas: payloads.len(),
+            byte_identical,
+            answer_json: payloads.swap_remove(0),
+        })
     }
-    if payloads.is_empty() {
-        fill_json(
-            slot,
-            &shared.error_response(
-                id,
-                name,
-                ErrorCode::Unavailable,
-                "no live replica answered the fleet check".to_string(),
-                Some(UNAVAILABLE_RETRY_MS),
-            ),
-        );
-        return;
-    }
-    let byte_identical = payloads.iter().all(|p| p == &payloads[0]);
-    fill_json(
-        slot,
-        &WireResponse {
-            id,
-            name,
-            cached: false,
-            coalesced: false,
-            attribution: None,
-            result: WireResult::Fleet(FleetCheckReport {
-                replicas: payloads.len(),
-                byte_identical,
-                answer_json: payloads.swap_remove(0),
-            }),
-        },
-    );
 }
 
 /// The router constructor.
@@ -767,10 +441,7 @@ pub struct FleetRouter;
 
 /// Handle to a running router.
 pub struct RouterHandle {
-    shared: Arc<Shared>,
-    event: Option<EventLoopHandle>,
-    forwarders: Vec<JoinHandle<()>>,
-    addr: SocketAddr,
+    server: Server<Shared>,
 }
 
 impl FleetRouter {
@@ -778,54 +449,35 @@ impl FleetRouter {
     pub fn start(config: RouterConfig, obs: Obs) -> std::io::Result<RouterHandle> {
         let ids: Vec<usize> = config.replicas.iter().map(|&(id, _)| id).collect();
         let shared = Arc::new(Shared {
+            core: Core::new("router".to_string(), obs, config.queue_capacity),
             membership: Mutex::new(Membership {
                 ring: HashRing::with_members(&ids),
                 addrs: config.replicas.iter().copied().collect(),
                 dead: BTreeSet::new(),
             }),
-            queue: BoundedQueue::new(config.queue_capacity),
-            obs,
-            slow: SlowRing::new(SLOW_RING_CAPACITY),
-            stop: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         });
-        let event = spawn_event_loop(
-            &config.addr,
-            Arc::new(RouterHandler {
-                shared: Arc::clone(&shared),
-            }),
-            EventLoopConfig {
-                max_connections: config.max_connections,
-            },
-        )?;
-        let addr = event.addr();
-        let forwarders = (0..config.forwarders.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || forwarder_loop(&shared))
-            })
-            .collect();
-        Ok(RouterHandle {
+        let server = Server::start(
             shared,
-            event: Some(event),
-            forwarders,
-            addr,
-        })
+            &config.addr,
+            config.max_connections,
+            config.forwarders,
+        )?;
+        Ok(RouterHandle { server })
     }
 }
 
 impl RouterHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Ids of replicas currently considered live.
     pub fn live_replicas(&self) -> Vec<usize> {
-        self.shared
+        self.server
+            .role
             .live_replicas()
             .into_iter()
             .map(|(id, _)| id)
@@ -834,13 +486,13 @@ impl RouterHandle {
 
     /// Requests that failed over to another replica after an owner death.
     pub fn failovers(&self) -> u64 {
-        self.shared.failovers.load(Ordering::SeqCst)
+        self.server.role.failovers.load(Ordering::SeqCst)
     }
 
     /// Add (or re-add) a replica to the ring — e.g. one that just
     /// warm-joined the fleet.
     pub fn add_replica(&self, id: usize, addr: SocketAddr) {
-        let mut membership = self.shared.membership.lock().unwrap();
+        let mut membership = self.server.role.membership.lock().unwrap();
         membership.ring.add(id);
         membership.addrs.insert(id, addr);
         membership.dead.remove(&id);
@@ -849,38 +501,12 @@ impl RouterHandle {
     /// Remove a replica administratively (planned drain, as opposed to the
     /// failure-driven removal forwarders do on their own).
     pub fn remove_replica(&self, id: usize) {
-        self.shared.mark_dead(id);
+        self.server.role.mark_dead(id);
     }
 
     /// Stop accepting, answer queued requests with `ShuttingDown`, join
     /// every thread.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        for forwarder in self.forwarders.drain(..) {
-            let _ = forwarder.join();
-        }
-        while let Some(job) = self.shared.queue.pop(Duration::ZERO) {
-            fill_json(
-                &job.slot,
-                &self.shared.error_response(
-                    job.id,
-                    job.name,
-                    ErrorCode::ShuttingDown,
-                    "router is shutting down".to_string(),
-                    Some(50),
-                ),
-            );
-        }
-        if let Some(event) = self.event.take() {
-            event.stop_and_join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }

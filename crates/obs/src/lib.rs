@@ -145,6 +145,36 @@ impl Obs {
             fields,
         });
     }
+
+    /// Record a manually timed span as the `index`-th child named `name`
+    /// of `parent` (its id is `parent.child(name, index)`'s), with the
+    /// trace-link fields first and `fields` after them — for work that
+    /// cannot hold an RAII span, such as a parked request or the far side
+    /// of a peer call. Returns the record.
+    pub fn record_child_span(
+        &self,
+        parent: TraceContext,
+        name: &str,
+        index: u64,
+        start_seconds: f64,
+        duration_seconds: f64,
+        fields: &[(&str, FieldValue)],
+    ) -> SpanRecord {
+        let mut all = trace::link_fields(&SpanLink {
+            trace_id: parent.trace_id,
+            span_id: parent.child(name, index).span_id,
+            parent_span_id: parent.span_id,
+        });
+        all.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+        let record = SpanRecord {
+            name: name.to_string(),
+            start_seconds,
+            duration_seconds,
+            fields: all,
+        };
+        self.sink.record(record.clone());
+        record
+    }
 }
 
 impl Default for Obs {
@@ -189,6 +219,21 @@ mod tests {
         let r = &sink.records()[0];
         assert_eq!(r.start_seconds, 12.5);
         assert_eq!(r.duration_seconds, 3.25);
+    }
+
+    #[test]
+    fn child_spans_link_under_their_parent() {
+        let sink = Arc::new(RingBufferSink::new(16));
+        let obs = Obs::new(Arc::new(MetricsRegistry::new()), sink.clone());
+        let parent = TraceIdGen::new(7).next_context();
+        let record = obs.record_child_span(parent, "push", 2, 1.5, 0.25, &[("peer", 3u64.into())]);
+        assert_eq!(sink.records(), vec![record.clone()]);
+        assert_eq!((record.start_seconds, record.duration_seconds), (1.5, 0.25));
+        let link = trace::record_link(&record).expect("linked");
+        assert_eq!(link.trace_id, parent.trace_id);
+        assert_eq!(link.span_id, parent.child("push", 2).span_id);
+        assert_eq!(link.parent_span_id, parent.span_id);
+        assert_eq!(record.fields[3], ("peer".to_string(), FieldValue::U64(3)));
     }
 
     #[test]

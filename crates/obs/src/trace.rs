@@ -265,9 +265,8 @@ pub fn ambient_link(name: &str) -> Option<SpanLink> {
     })
 }
 
-/// Trace-link fields for a manually recorded span (the event-driven
-/// replica path, which cannot hold an RAII span across a parked waiter).
-pub fn link_fields(link: &SpanLink) -> Vec<(String, FieldValue)> {
+/// Trace-link fields for a span record.
+pub(crate) fn link_fields(link: &SpanLink) -> Vec<(String, FieldValue)> {
     vec![
         (FIELD_TRACE_ID.into(), link.trace_id.to_hex().into()),
         (FIELD_SPAN_ID.into(), link.span_id.to_hex().into()),

@@ -21,7 +21,7 @@
 //! [`fingerprint`]: galvatron_cluster::ClusterTopology::fingerprint
 //! [`WireResult::Plan`]: crate::protocol::WireResult::Plan
 
-use crate::protocol::{WireResult, PROTOCOL_VERSION};
+use crate::protocol::{PlanBody, WireResult, PROTOCOL_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -38,6 +38,20 @@ pub struct PlanKey {
     pub topology_fingerprint: u64,
     /// Per-device budget, bytes.
     pub budget_bytes: u64,
+}
+
+impl PlanKey {
+    /// The key of a plan question — the one derivation every replica,
+    /// router, persisted cache and ring position agrees on.
+    pub fn of(body: &PlanBody) -> Self {
+        PlanKey {
+            // Derived `Serialize` over plain structs, strings and numbers
+            // cannot fail.
+            model_json: serde_json::to_string(&body.model).expect("ModelSpec serializes"),
+            topology_fingerprint: body.topology.fingerprint(),
+            budget_bytes: body.budget_bytes,
+        }
+    }
 }
 
 struct Entry {

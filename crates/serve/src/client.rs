@@ -13,6 +13,7 @@ use galvatron_model::ModelSpec;
 use galvatron_obs::{MetricsSnapshot, SlowTraceEntry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// A connected client.
 pub struct PlanClient {
@@ -27,7 +28,20 @@ pub struct PlanClient {
 impl PlanClient {
     /// Connect to a daemon.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+        Self::from_stream(TcpStream::connect(addr)?)
+    }
+
+    /// Connect within `timeout`, and fail any later read or write that
+    /// stalls for longer than it — for callers that must not wait on a
+    /// peer that accepts but never answers.
+    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Self::from_stream(stream)
+    }
+
+    fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(PlanClient {

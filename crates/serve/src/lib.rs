@@ -11,11 +11,16 @@
 //!
 //! * **Wire protocol** ([`protocol`]) — JSON lines over TCP, one request
 //!   per line, one response per line. Plan answers are *stable bytes*:
-//!   byte-identical whether computed, cached or coalesced.
+//!   byte-identical whether computed, cached or coalesced. The protocol
+//!   owns the envelope and error constructors every server uses
+//!   ([`WireResponse::direct`], [`WireResult::error`], whose retry hint
+//!   is fixed per [`ErrorCode`]) and the trace extraction
+//!   ([`WireRequest::trace_context`]).
 //! * **Response caching** ([`ResponseCache`]) — completed answers live in
 //!   a byte-budget LRU keyed on `(model JSON, topology fingerprint,
-//!   budget)`, optionally persisted to disk so a restarted server starts
-//!   warm. The topology component relies on the stability contract of
+//!   budget)` — derived in one place, [`PlanKey::of`] — optionally
+//!   persisted to disk so a restarted server starts warm. The topology
+//!   component relies on the stability contract of
 //!   [`ClusterTopology::fingerprint`](galvatron_cluster::ClusterTopology::fingerprint).
 //! * **Deterministic load shedding** ([`BoundedQueue`]) — at most
 //!   `queue_capacity` distinct computations wait; beyond that, requests
@@ -43,5 +48,6 @@ pub use client::PlanClient;
 pub use protocol::{
     CacheEntry, ErrorCode, FleetCheckReport, PlanBody, RequestBody, ServeError, ServeStats,
     ServedPlan, WireRequest, WireResponse, WireResult, WireTraceContext, PROTOCOL_VERSION,
+    RETRY_AFTER_MS, UNAVAILABLE_RETRY_MS,
 };
 pub use queue::{BoundedQueue, PushError};

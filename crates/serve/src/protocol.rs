@@ -38,6 +38,13 @@ use serde::{Deserialize, Serialize};
 /// payloads.
 pub const PROTOCOL_VERSION: u32 = 3;
 
+/// The retry hint on transient refusals: a full queue or a draining
+/// server.
+pub const RETRY_AFTER_MS: u64 = 50;
+
+/// The retry hint when a fleet router has no live replica left.
+pub const UNAVAILABLE_RETRY_MS: u64 = 200;
+
 /// Trace context on the request envelope (protocol v3). Ids are minted by
 /// a seeded [`galvatron_obs::TraceIdGen`] on the client — never from the
 /// wall clock — and travel as lowercase hex strings.
@@ -88,6 +95,16 @@ pub struct WireRequest {
     pub trace: Option<WireTraceContext>,
     /// What is being asked.
     pub body: RequestBody,
+}
+
+impl WireRequest {
+    /// The sender's trace position and whether it asked for attribution.
+    /// Malformed hex degrades to an untraced request rather than an
+    /// error: tracing must never break serving.
+    pub fn trace_context(&self) -> Option<(TraceContext, bool)> {
+        let wire = self.trace.as_ref()?;
+        Some((wire.context()?, wire.attribution))
+    }
 }
 
 /// The request kinds the daemon answers.
@@ -171,6 +188,21 @@ pub struct WireResponse {
     pub result: WireResult,
 }
 
+impl WireResponse {
+    /// The envelope of an answer that never waited on a computation: not
+    /// cached, not coalesced, no attribution.
+    pub fn direct(id: u64, name: String, result: WireResult) -> Self {
+        WireResponse {
+            id,
+            name,
+            cached: false,
+            coalesced: false,
+            attribution: None,
+            result,
+        }
+    }
+}
+
 /// The answer payload. For `Plan` requests this is the **stable** part of
 /// the response: identical questions produce byte-identical serializations
 /// regardless of cache or coalescing state.
@@ -202,6 +234,16 @@ pub enum WireResult {
 }
 
 impl WireResult {
+    /// A structured error carrying the retry hint its `code` calls for
+    /// ([`ErrorCode::retry_after_ms`]).
+    pub fn error(code: ErrorCode, message: impl Into<String>) -> Self {
+        WireResult::Error(ServeError {
+            code,
+            message: message.into(),
+            retry_after_ms: code.retry_after_ms(),
+        })
+    }
+
     /// Whether this result is a *stable* answer — deterministic for its
     /// question and therefore safe to cache, persist, and replicate
     /// between fleet peers. Plans and `Infeasible` verdicts are stable;
@@ -297,6 +339,22 @@ pub enum ErrorCode {
     /// The fleet router has no live replica left to forward to; retry
     /// after `retry_after_ms`.
     Unavailable,
+}
+
+impl ErrorCode {
+    /// How long a client should wait before retrying this class of
+    /// error: set for transient refusals, `None` for request defects and
+    /// deterministic verdicts.
+    pub fn retry_after_ms(self) -> Option<u64> {
+        match self {
+            ErrorCode::Overloaded | ErrorCode::ShuttingDown => Some(RETRY_AFTER_MS),
+            ErrorCode::Unavailable => Some(UNAVAILABLE_RETRY_MS),
+            ErrorCode::BadRequest
+            | ErrorCode::InvalidTopology
+            | ErrorCode::Infeasible
+            | ErrorCode::PlannerError => None,
+        }
+    }
 }
 
 /// Structured serving statistics (the `Stats` answer), for load generators
@@ -447,6 +505,25 @@ mod tests {
         let line = serde_json::to_string(&traces).unwrap();
         let back: WireResult = serde_json::from_str(&line).unwrap();
         assert_eq!(back, traces);
+    }
+
+    #[test]
+    fn errors_carry_the_retry_hint_of_their_code() {
+        let hint = |code| match WireResult::error(code, "m") {
+            WireResult::Error(e) => e.retry_after_ms,
+            other => panic!("expected an error, got {other:?}"),
+        };
+        assert_eq!(hint(ErrorCode::Overloaded), Some(RETRY_AFTER_MS));
+        assert_eq!(hint(ErrorCode::ShuttingDown), Some(RETRY_AFTER_MS));
+        assert_eq!(hint(ErrorCode::Unavailable), Some(UNAVAILABLE_RETRY_MS));
+        for code in [
+            ErrorCode::BadRequest,
+            ErrorCode::InvalidTopology,
+            ErrorCode::Infeasible,
+            ErrorCode::PlannerError,
+        ] {
+            assert_eq!(hint(code), None, "{code:?}");
+        }
     }
 
     #[test]

@@ -82,6 +82,14 @@ echo "==> benchmark build (perfbench is a workspace of its own over crates/*)"
 # the benchmark pipeline.
 cargo build "${CARGO_FLAGS[@]}" --release --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark fleet traffic (traced sweep-cold: a 2-replica fleet behind the router)"
+# Runs what the build above produced: the traced run drives a router and two
+# replicas over loopback through the public API, so a serving regression
+# that still compiles fails here. Appends to the gitignored
+# .perfbench_runs.jsonl.
+cargo run "${CARGO_FLAGS[@]}" --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep-cold --seed 1 --seconds 2 --trace 1
+
 echo "==> cargo test --doc"
 cargo test "${CARGO_FLAGS[@]}" --workspace --doc -q
 
